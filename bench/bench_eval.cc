@@ -1,4 +1,5 @@
-// Evaluator benchmark: columnar vs nested-loop over UCQ workloads whose
+// Evaluator benchmark: the columnar evaluator vs the testkit reference
+// evaluator (a row-at-a-time nested-loop join) over UCQ workloads whose
 // union blocks share join prefixes — the regime the shared-subplan DAG
 // targets (§4: one rewritten query, many structurally similar disjuncts).
 //
@@ -15,12 +16,15 @@
 //   benchgen_mix    a seeded random benchgen workload (the conformance
 //                   generator's multi-join CQ pool, answered round-robin)
 //
-// For every workload × engine × thread count the harness answers
-// `--requests` requests against one shared system (plan cache on, so the
-// shared-subplan programs are compiled once) and records throughput plus
-// the evaluator counters from AnswerStats. Before timing, both engines
-// answer every pooled query once and the sorted answer sets are compared;
-// `discrepancies` must be 0 in every row.
+// For every workload × thread count the harness runs `--requests`
+// requests twice. The "columnar" rows answer through one shared system
+// (plan cache on, so the shared-subplan programs are compiled once) and
+// record throughput plus the evaluator counters from AnswerStats. The
+// "reference" rows evaluate the same unfolded SQL — unfolded once per
+// pooled query, outside the timed loop — with testkit::EvalReference, so
+// the baseline pays evaluation only, never the answer path. Before timing,
+// both sides answer every pooled query once and the sorted answer sets
+// are compared; `discrepancies` must be 0 in every row.
 //
 // Flags: --requests=<n>   requests per cell               (default 24)
 //        --threads=<list> thread counts to sweep          (default 1,4)
@@ -34,20 +38,23 @@
 //    "p50_ms", "p95_ms", "p99_ms",
 //    "disjuncts", "batches", "rows_scanned", "shared_nodes",
 //    "shared_node_hits", "prefix_hit_rate", "join_reorders",
-//    "discrepancies", "speedup_vs_nested_loop",
+//    "discrepancies", "speedup_vs_reference",
 //    "stages": {<stage>: {"count", "p50_us", "p95_us", "p99_us"}, …}}
-// where speedup_vs_nested_loop is filled on columnar rows (same workload
-// and thread count, identical request streams). Latency percentiles come
+// where speedup_vs_reference is filled on columnar rows (same workload
+// and thread count, identical request streams); the evaluator counters
+// and stages stay zero/empty on reference rows. Latency percentiles come
 // from the cell's obs registry (bench.request_us plus the engine's
 // per-stage histograms; the registry is reset between cells). The binary
 // exits non-zero when the shared_prefix acceptance gates fail (>=8
-// disjuncts, shared_node_hits > 0, >=2x speedup) or any engines disagree.
+// disjuncts, shared_node_hits > 0, >=2x speedup) or the two sides
+// disagree.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,6 +68,7 @@
 #include "obs/metrics.h"
 #include "query/cq.h"
 #include "query/rewriter.h"
+#include "testkit/reference_eval.h"
 
 namespace {
 
@@ -84,7 +92,7 @@ struct JsonRow {
   olite::rdb::EvalStats eval;
   double prefix_hit_rate = 0;
   uint64_t discrepancies = 0;
-  double speedup = 0;  // vs nested_loop, columnar rows only
+  double speedup = 0;  // vs reference, columnar rows only
   /// Per-stage percentile object rendered from the cell's registry.
   std::string stages = "{}";
 };
@@ -106,7 +114,7 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
         "\"disjuncts\": %llu, \"batches\": %llu, \"rows_scanned\": %llu, "
         "\"shared_nodes\": %llu, \"shared_node_hits\": %llu, "
         "\"prefix_hit_rate\": %.4f, \"join_reorders\": %llu, "
-        "\"discrepancies\": %llu, \"speedup_vs_nested_loop\": %.2f, "
+        "\"discrepancies\": %llu, \"speedup_vs_reference\": %.2f, "
         "\"stages\": %s}%s\n",
         r.workload.c_str(), r.engine.c_str(), r.threads,
         static_cast<unsigned long long>(r.requests), r.total_ms, r.qps,
@@ -267,55 +275,65 @@ std::vector<olite::query::ConjunctiveQuery> ParsePool(
   return pool;
 }
 
-const olite::rdb::EvalEngine kEngines[] = {
-    olite::rdb::EvalEngine::kNestedLoop,
-    olite::rdb::EvalEngine::kColumnar,
-};
+// The unfolded SQL of every pooled query, computed once; nullopt marks an
+// empty unfolding (no SQL to run, empty answers).
+std::vector<std::optional<olite::rdb::SqlQuery>> UnfoldPool(
+    const ObdaSystem& sys,
+    const std::vector<olite::query::ConjunctiveQuery>& pool) {
+  std::vector<std::optional<olite::rdb::SqlQuery>> out;
+  for (const olite::query::ConjunctiveQuery& query : pool) {
+    auto sql = olite::testkit::UnfoldToSql(*sys.compiled(), query);
+    if (sql.ok()) {
+      out.push_back(std::move(sql).value());
+    } else if (sql.status().code() == olite::StatusCode::kNotFound) {
+      out.push_back(std::nullopt);
+    } else {
+      std::fprintf(stderr, "unfold failed: %s\n",
+                   sql.status().ToString().c_str());
+      std::exit(1);
+    }
+  }
+  return out;
+}
 
-// Both engines answer every pooled query once; sorted answer sets must
-// match pairwise.
+// The answer path and the reference answer every pooled query once; sorted
+// answer sets must match pairwise.
 uint64_t CountDiscrepancies(
     const ObdaSystem& sys, const char* workload,
     const std::vector<olite::query::ConjunctiveQuery>& pool) {
   uint64_t discrepancies = 0;
   for (const olite::query::ConjunctiveQuery& query : pool) {
-    std::vector<AnswerTuple> reference;
-    for (size_t e = 0; e < 2; ++e) {
-      olite::obda::AnswerOptions aopts;
-      aopts.engine = kEngines[e];
-      auto r = sys.Answer(query, aopts);
-      if (!r.ok()) {
-        std::fprintf(stderr, "answer failed: %s\n",
-                     r.status().ToString().c_str());
-        std::exit(1);
-      }
-      std::vector<AnswerTuple> got = Sorted(std::move(r).value());
-      if (e == 0) {
-        reference = std::move(got);
-      } else if (got != reference) {
-        ++discrepancies;
-        std::fprintf(stderr, "engine disagreement on %s: %zu vs %zu rows\n",
-                     workload, reference.size(), got.size());
-      }
+    auto r = sys.Answer(query);
+    auto ref = olite::testkit::ReferenceAnswers(*sys.compiled(), query);
+    if (!r.ok() || !ref.ok()) {
+      std::fprintf(stderr, "answer failed: %s\n",
+                   (r.ok() ? ref.status() : r.status()).ToString().c_str());
+      std::exit(1);
+    }
+    std::vector<AnswerTuple> got = Sorted(std::move(r).value());
+    std::vector<AnswerTuple> want = Sorted(std::move(ref).value());
+    if (got != want) {
+      ++discrepancies;
+      std::fprintf(stderr, "evaluator disagreement on %s: %zu vs %zu rows\n",
+                   workload, want.size(), got.size());
     }
   }
   return discrepancies;
 }
 
-// One timed cell: `requests` answers split across `threads`, round-robin
-// over the query pool, aggregating the per-call evaluator counters.
-JsonRow RunCell(const ObdaSystem& sys, const char* workload,
-                const std::vector<olite::query::ConjunctiveQuery>& pool,
-                int threads, olite::rdb::EvalEngine engine, uint64_t requests,
-                uint64_t discrepancies,
-                olite::obs::MetricsRegistry* registry) {
+// One timed cell: `requests` calls of `answer_one(query_index, stats)`
+// split across `threads`, round-robin over the query pool, aggregating the
+// per-call evaluator counters.
+JsonRow RunCell(const char* workload, const char* engine, size_t pool_size,
+                int threads, uint64_t requests, uint64_t discrepancies,
+                olite::obs::MetricsRegistry* registry,
+                const std::function<void(size_t, olite::obda::AnswerStats*)>&
+                    answer_one) {
   // Cells share one system (and so one registry); reset between cells so
   // the exported histograms cover exactly this cell.
   registry->Reset();
   olite::obs::Histogram& request_us =
       registry->histogram(olite::bench::kRequestUs);
-  olite::obda::AnswerOptions aopts;
-  aopts.engine = engine;
   uint64_t per_thread = requests / static_cast<uint64_t>(threads);
   if (per_thread == 0) per_thread = 1;
 
@@ -326,17 +344,11 @@ JsonRow RunCell(const ObdaSystem& sys, const char* workload,
   for (int t = 0; t < threads; ++t) {
     threads_pool.emplace_back([&, t] {
       for (uint64_t i = 0; i < per_thread; ++i) {
-        const olite::query::ConjunctiveQuery& query =
-            pool[(static_cast<uint64_t>(t) * per_thread + i) % pool.size()];
         Stopwatch sw;
         olite::obda::AnswerStats astats;
-        auto r = sys.Answer(query, aopts, &astats);
+        answer_one((static_cast<uint64_t>(t) * per_thread + i) % pool_size,
+                   &astats);
         request_us.Record(sw.ElapsedMicros());
-        if (!r.ok()) {
-          std::fprintf(stderr, "answer failed: %s\n",
-                       r.status().ToString().c_str());
-          std::exit(1);
-        }
         eval_sums[t].batches += astats.eval.batches;
         eval_sums[t].rows_scanned += astats.eval.rows_scanned;
         eval_sums[t].shared_nodes += astats.eval.shared_nodes;
@@ -353,7 +365,7 @@ JsonRow RunCell(const ObdaSystem& sys, const char* workload,
 
   JsonRow row;
   row.workload = workload;
-  row.engine = olite::rdb::EvalEngineName(engine);
+  row.engine = engine;
   row.threads = threads;
   row.requests = per_thread * static_cast<uint64_t>(threads);
   row.total_ms = total_ms;
@@ -436,54 +448,67 @@ int main(int argc, char** argv) {
   };
 
   std::vector<JsonRow> rows_out;
-  // total_ms per (workload, threads) for the nested-loop baseline, so the
-  // columnar row of the same cell can report its speedup.
-  std::map<std::pair<std::string, int>, double> baseline_ms;
   std::printf("%-16s %-12s %8s %10s %12s %10s %10s %10s\n", "workload",
               "engine", "threads", "total_ms", "qps", "shared_hit",
               "hit_rate", "speedup");
   bool gates_ok = true;
   for (const auto& workload : kWorkloads) {
-    uint64_t discrepancies =
-        CountDiscrepancies(*workload.sys, workload.name, workload.pool);
+    const ObdaSystem& sys = *workload.sys;
+    const auto sqls = UnfoldPool(sys, workload.pool);
+    const uint64_t discrepancies =
+        CountDiscrepancies(sys, workload.name, workload.pool);
+    if (discrepancies != 0) gates_ok = false;
+    auto reference = [&](size_t q, olite::obda::AnswerStats*) {
+      if (!sqls[q].has_value()) return;
+      auto r = olite::testkit::EvalReference(sys.database(), *sqls[q]);
+      if (!r.ok()) {
+        std::fprintf(stderr, "reference evaluation failed: %s\n",
+                     r.status().ToString().c_str());
+        std::exit(1);
+      }
+    };
+    auto columnar = [&](size_t q, olite::obda::AnswerStats* astats) {
+      auto r = sys.Answer(workload.pool[q], astats);
+      if (!r.ok()) {
+        std::fprintf(stderr, "answer failed: %s\n",
+                     r.status().ToString().c_str());
+        std::exit(1);
+      }
+    };
     for (int threads : thread_counts) {
-      for (olite::rdb::EvalEngine engine : kEngines) {
-        JsonRow row = RunCell(*workload.sys, workload.name, workload.pool,
-                              threads, engine, requests, discrepancies,
-                              workload.registry);
-        auto cell = std::make_pair(row.workload, threads);
-        if (engine == olite::rdb::EvalEngine::kNestedLoop) {
-          baseline_ms[cell] = row.total_ms;
-        } else if (baseline_ms.count(cell) != 0 && row.total_ms > 0) {
-          row.speedup = baseline_ms[cell] / row.total_ms;
-        }
-        rows_out.push_back(row);
+      JsonRow base = RunCell(workload.name, "reference", workload.pool.size(),
+                             threads, requests, discrepancies,
+                             workload.registry, reference);
+      JsonRow row = RunCell(workload.name, "columnar", workload.pool.size(),
+                            threads, requests, discrepancies,
+                            workload.registry, columnar);
+      if (row.total_ms > 0) row.speedup = base.total_ms / row.total_ms;
+      for (const JsonRow* r : {&base, &row}) {
+        rows_out.push_back(*r);
         std::printf("%-16s %-12s %8d %10.2f %12.1f %10llu %10.4f %10.2f\n",
-                    row.workload.c_str(), row.engine.c_str(), row.threads,
-                    row.total_ms, row.qps,
-                    static_cast<unsigned long long>(row.eval.shared_node_hits),
-                    row.prefix_hit_rate, row.speedup);
+                    r->workload.c_str(), r->engine.c_str(), r->threads,
+                    r->total_ms, r->qps,
+                    static_cast<unsigned long long>(r->eval.shared_node_hits),
+                    r->prefix_hit_rate, r->speedup);
+      }
 
-        // Acceptance gates for the headline workload: the shared-prefix
-        // union must actually share (hits > 0) and the columnar engine
-        // must win by >=2x.
-        if (row.workload == "shared_prefix" &&
-            engine == olite::rdb::EvalEngine::kColumnar) {
-          if (row.disjuncts < 8) {
-            std::fprintf(stderr, "GATE: expected >=8 disjuncts, got %llu\n",
-                         static_cast<unsigned long long>(row.disjuncts));
-            gates_ok = false;
-          }
-          if (row.eval.shared_node_hits == 0) {
-            std::fprintf(stderr, "GATE: shared_node_hits == 0\n");
-            gates_ok = false;
-          }
-          if (row.speedup < 2.0) {
-            std::fprintf(stderr, "GATE: speedup %.2f < 2.0\n", row.speedup);
-            gates_ok = false;
-          }
+      // Acceptance gates for the headline workload: the shared-prefix
+      // union must actually share (hits > 0) and the columnar evaluator
+      // must beat the reference by >=2x.
+      if (row.workload == "shared_prefix") {
+        if (row.disjuncts < 8) {
+          std::fprintf(stderr, "GATE: expected >=8 disjuncts, got %llu\n",
+                       static_cast<unsigned long long>(row.disjuncts));
+          gates_ok = false;
         }
-        if (discrepancies != 0) gates_ok = false;
+        if (row.eval.shared_node_hits == 0) {
+          std::fprintf(stderr, "GATE: shared_node_hits == 0\n");
+          gates_ok = false;
+        }
+        if (row.speedup < 2.0) {
+          std::fprintf(stderr, "GATE: speedup %.2f < 2.0\n", row.speedup);
+          gates_ok = false;
+        }
       }
     }
   }

@@ -13,8 +13,6 @@
 //        --width=<n>           classes per level (default 4)
 //        --rows=<n>            rows in the leaf table (default 40)
 //        --reps=<n>            repetitions per cell, min wins (default 3)
-//        --engine=<name>       rdb evaluator: columnar, nested_loop or
-//                              default (env-resolved)  (default default)
 //        --pruning=<dim>       constraint-aware pruning sweep: on, off or
 //                              both  (default both)
 //        --pruning-gate        after the sweep, verify that on every
@@ -177,19 +175,6 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
   std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
 }
 
-olite::rdb::EvalEngine ParseEngine(const char* name) {
-  if (std::strcmp(name, "columnar") == 0) {
-    return olite::rdb::EvalEngine::kColumnar;
-  }
-  if (std::strcmp(name, "nested_loop") == 0) {
-    return olite::rdb::EvalEngine::kNestedLoop;
-  }
-  if (std::strcmp(name, "default") != 0) {
-    std::fprintf(stderr, "unknown engine '%s', using default\n", name);
-  }
-  return olite::rdb::EvalEngine::kDefault;
-}
-
 std::vector<double> ParseList(const char* text) {
   std::vector<double> out;
   std::string current;
@@ -213,7 +198,6 @@ int main(int argc, char** argv) {
   int width = 4;
   int leaf_rows = 40;
   int reps = 3;
-  olite::rdb::EvalEngine engine_choice = olite::rdb::EvalEngine::kDefault;
   std::string out_path = "BENCH_rewriting.json";
   std::string pruning_dim = "both";
   bool pruning_gate = false;
@@ -228,8 +212,6 @@ int main(int argc, char** argv) {
       leaf_rows = std::atoi(argv[i] + 7);
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
       reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      engine_choice = ParseEngine(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--pruning=", 10) == 0) {
       pruning_dim = argv[i] + 10;
       if (pruning_dim != "on" && pruning_dim != "off" &&
@@ -265,9 +247,6 @@ int main(int argc, char** argv) {
   };
 
   std::vector<JsonRow> rows;
-  std::printf("engine: %s\n",
-              olite::rdb::EvalEngineName(
-                  olite::rdb::ResolveEvalEngine(engine_choice)));
   std::printf("%-12s %-14s %-10s %-8s %12s %10s %10s %10s\n", "mode",
               "ontology", "query", "pruning", "deadline_ms", "ms", "outcome",
               "disjuncts");
@@ -294,7 +273,6 @@ int main(int argc, char** argv) {
               olite::obda::AnswerOptions opts;
               opts.deadline_ms = deadline;
               opts.allow_degraded = true;
-              opts.engine = engine_choice;
               opts.disable_constraint_pruning = disable_pruning;
               olite::obda::AnswerStats stats;
               olite::Stopwatch sw;

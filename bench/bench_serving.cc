@@ -19,8 +19,6 @@
 //        --queries=<n>      distinct queries in the pool (default 16)
 //        --skew=<z>         Zipf skew of the stream      (default 1.5)
 //        --seed=<n>         workload + stream seed       (default 1)
-//        --engine=<name>    rdb evaluator: columnar, nested_loop or
-//                           default (env-resolved)       (default default)
 //        --metrics=on|off   engine-side instrumentation  (default on)
 //        --print-metrics    dump each cell's registry as text
 //        --overhead-gate-pct=<f>  run the instrumentation-overhead gate
@@ -31,7 +29,7 @@
 //                           (default BENCH_serving.json)
 //
 // The JSON output is a flat array of rows
-//   {"mode", "engine", "threads", "cache", "metrics", "requests", "qps",
+//   {"mode", "threads", "cache", "metrics", "requests", "qps",
 //    "hit_rate", "p50_ms", "p95_ms", "p99_ms", "total_ms", "eval_batches",
 //    "eval_rows_scanned", "shared_node_hits", "join_reorders",
 //    "stages": {<stage>: {"count", "p50_us", "p95_us", "p99_us"}, …}}
@@ -66,7 +64,6 @@ using olite::query::RewriteMode;
 
 struct JsonRow {
   std::string mode;
-  std::string engine;
   int threads = 1;
   bool cache = true;
   bool metrics = true;
@@ -95,7 +92,7 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& r = rows[i];
     std::fprintf(f,
-                 "  {\"mode\": \"%s\", \"engine\": \"%s\", \"threads\": %d, "
+                 "  {\"mode\": \"%s\", \"threads\": %d, "
                  "\"cache\": %s, \"metrics\": %s, "
                  "\"requests\": %llu, \"qps\": %.1f, \"hit_rate\": %.4f, "
                  "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
@@ -103,7 +100,7 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
                  "\"eval_batches\": %llu, \"eval_rows_scanned\": %llu, "
                  "\"shared_node_hits\": %llu, \"join_reorders\": %llu, "
                  "\"stages\": %s}%s\n",
-                 r.mode.c_str(), r.engine.c_str(), r.threads,
+                 r.mode.c_str(), r.threads,
                  r.cache ? "true" : "false", r.metrics ? "true" : "false",
                  static_cast<unsigned long long>(r.requests), r.qps,
                  r.hit_rate, r.p50_ms, r.p95_ms, r.p99_ms, r.total_ms,
@@ -118,23 +115,8 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
   std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
 }
 
-olite::rdb::EvalEngine ParseEngine(const char* name) {
-  if (std::strcmp(name, "columnar") == 0) {
-    return olite::rdb::EvalEngine::kColumnar;
-  }
-  if (std::strcmp(name, "nested_loop") == 0) {
-    return olite::rdb::EvalEngine::kNestedLoop;
-  }
-  if (std::strcmp(name, "default") != 0) {
-    std::fprintf(stderr, "unknown engine '%s', using default\n", name);
-  }
-  return olite::rdb::EvalEngine::kDefault;
-}
-
 struct CellConfig {
   RewriteMode mode;
-  olite::rdb::EvalEngine engine_choice;
-  const char* engine_name;
   int threads;
   bool cache_on;
   bool metrics_on;
@@ -161,7 +143,6 @@ JsonRow RunCell(const std::shared_ptr<const CompiledOntology>& compiled,
   std::vector<olite::rdb::EvalStats> eval_sums(cell.threads);
   uint64_t per_thread = cell.requests / static_cast<uint64_t>(cell.threads);
   olite::obda::AnswerOptions aopts;
-  aopts.engine = cell.engine_choice;
   Stopwatch wall;
   std::vector<std::thread> pool;
   for (int t = 0; t < cell.threads; ++t) {
@@ -206,7 +187,6 @@ JsonRow RunCell(const std::shared_ptr<const CompiledOntology>& compiled,
 
   JsonRow row;
   row.mode = RewriteModeName(cell.mode);
-  row.engine = cell.engine_name;
   row.threads = cell.threads;
   row.cache = cell.cache_on;
   row.metrics = cell.metrics_on;
@@ -240,7 +220,6 @@ int main(int argc, char** argv) {
   uint32_t num_queries = 16;
   double skew = 1.5;
   uint64_t seed = 1;
-  olite::rdb::EvalEngine engine_choice = olite::rdb::EvalEngine::kDefault;
   bool metrics_on = true;
   bool print_metrics = false;
   double overhead_gate_pct = 0;
@@ -256,8 +235,6 @@ int main(int argc, char** argv) {
       skew = std::atof(argv[i] + 7);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      engine_choice = ParseEngine(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
       metrics_on = std::strcmp(argv[i] + 10, "off") != 0;
     } else if (std::strcmp(argv[i], "--print-metrics") == 0) {
@@ -292,10 +269,7 @@ int main(int argc, char** argv) {
   olite::benchgen::Workload workload =
       olite::benchgen::GenerateWorkload(config);
 
-  const char* engine_name =
-      olite::rdb::EvalEngineName(olite::rdb::ResolveEvalEngine(engine_choice));
   std::vector<JsonRow> rows;
-  std::printf("engine: %s\n", engine_name);
 
   if (overhead_gate_pct > 0) {
     // Instrumentation-overhead gate: one representative cell (classified
@@ -315,8 +289,6 @@ int main(int argc, char** argv) {
     }
     CellConfig cell;
     cell.mode = RewriteMode::kClassified;
-    cell.engine_choice = engine_choice;
-    cell.engine_name = engine_name;
     cell.threads = thread_counts.empty() ? 1 : thread_counts.front();
     cell.cache_on = true;
     cell.requests = requests;
@@ -374,8 +346,6 @@ int main(int argc, char** argv) {
       for (bool cache_on : {false, true}) {
         CellConfig cell;
         cell.mode = mode;
-        cell.engine_choice = engine_choice;
-        cell.engine_name = engine_name;
         cell.threads = threads;
         cell.cache_on = cache_on;
         cell.metrics_on = metrics_on;

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/thread_pool.h"
-#include "graph/bitset.h"
 #include "graph/dynamic_closure.h"
 #include "graph/scc.h"
 
@@ -274,74 +273,12 @@ class SccMergeClosure : public SccClosureBase<SccMergeClosure> {
   BuildAbort abort_;
 };
 
-// ---------------------------------------------------------------------------
-// SCC + bitset engine.
-// ---------------------------------------------------------------------------
-class SccBitsetClosure : public SccClosureBase<SccBitsetClosure> {
- public:
-  explicit SccBitsetClosure(const Digraph& g, ThreadPool* pool,
-                            const ExecBudget* budget = nullptr)
-      : SccClosureBase(g) {
-    abort_.budget = budget;
-    const NodeId nc = scc_.NumComponents();
-    comp_reach_.resize(nc);
-    if (!UsePool(pool)) {
-      for (NodeId c = 0; c < nc; ++c) {
-        if (abort_.Poll()) break;
-        UnionOne(nc, c);
-      }
-    } else {
-      for (const auto& level : TopologicalLevels()) {
-        pool->ParallelFor(0, level.size(), /*grain=*/16, [&](size_t i) {
-          if (abort_.Poll()) return;
-          UnionOne(nc, level[i]);
-        });
-      }
-    }
-    FinalizeArcCount(pool);
-  }
-
-  bool aborted() const { return abort_.aborted.load(std::memory_order_relaxed); }
-
-  std::string EngineName() const override { return "scc_bitset"; }
-
-  bool ComponentReaches(NodeId cf, NodeId ct) const {
-    return comp_reach_[cf].Test(ct);
-  }
-
-  template <typename Fn>
-  void ForEachReachableComponent(NodeId c, Fn&& fn) const {
-    comp_reach_[c].ForEachSet([&](size_t d) { fn(static_cast<NodeId>(d)); });
-  }
-
-  uint64_t ReachableNodeCount(NodeId c) const {
-    uint64_t total = 0;
-    comp_reach_[c].ForEachSet(
-        [&](size_t d) { total += scc_.members[d].size(); });
-    return total;
-  }
-
- private:
-  void UnionOne(NodeId nc, NodeId c) {
-    DynamicBitset bits(nc);
-    for (NodeId d : dag_.Successors(c)) {
-      bits.Set(d);
-      bits.OrWith(comp_reach_[d]);
-    }
-    comp_reach_[c] = std::move(bits);
-  }
-
-  std::vector<DynamicBitset> comp_reach_;
-  BuildAbort abort_;
-};
-
 }  // namespace
 
 const char* ClosureEngineName(ClosureEngine engine) {
   switch (engine) {
     case ClosureEngine::kBfs: return "bfs";
     case ClosureEngine::kSccMerge: return "scc_merge";
-    case ClosureEngine::kSccBitset: return "scc_bitset";
     case ClosureEngine::kDynamic: return "dynamic";
   }
   return "unknown";
@@ -355,8 +292,6 @@ std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
       return std::make_unique<BfsClosure>(g, pool);
     case ClosureEngine::kSccMerge:
       return std::make_unique<SccMergeClosure>(g, pool);
-    case ClosureEngine::kSccBitset:
-      return std::make_unique<SccBitsetClosure>(g, pool);
     case ClosureEngine::kDynamic:
       return std::make_unique<DynamicClosure>(g);
   }
@@ -379,8 +314,6 @@ Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
       return finish(std::make_unique<BfsClosure>(g, pool, budget));
     case ClosureEngine::kSccMerge:
       return finish(std::make_unique<SccMergeClosure>(g, pool, budget));
-    case ClosureEngine::kSccBitset:
-      return finish(std::make_unique<SccBitsetClosure>(g, pool, budget));
     case ClosureEngine::kDynamic: {
       // The dynamic engine is built for patch reuse, not budget ablation;
       // its construction cost matches scc_merge, so a single post-build

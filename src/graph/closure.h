@@ -46,9 +46,6 @@ enum class ClosureEngine {
   /// per-component successor vectors. Memory proportional to the closure
   /// size; the production engine.
   kSccMerge,
-  /// Tarjan SCC condensation + per-component bitsets with word-parallel
-  /// union. Fastest on dense mid-sized graphs, O(V^2/64) memory.
-  kSccBitset,
   /// Patchable SCC closure (graph/dynamic_closure.h): node-id-space reach
   /// vectors shared across `Patched()` generations, enabling incremental
   /// maintenance under arc deltas. Serial construction; pick it when the
@@ -57,7 +54,7 @@ enum class ClosureEngine {
 };
 
 /// Returns the canonical name of `engine` ("bfs", "scc_merge",
-/// "scc_bitset", "dynamic").
+/// "dynamic").
 const char* ClosureEngineName(ClosureEngine engine);
 
 /// Computes the transitive closure of `g` with the chosen engine.

@@ -252,7 +252,6 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
       eopts.budget = budget;
       eopts.allow_partial = opts.allow_degraded;
       eopts.degradation = &degradation;
-      eopts.engine = opts.engine;
       eopts.join_order_seed = opts.join_order_seed;
       return finish(Evaluate(**cached, eopts, opts.capture_sql, stats));
     }
@@ -351,7 +350,6 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   eopts.budget = budget;
   eopts.allow_partial = opts.allow_degraded;
   eopts.degradation = &degradation;
-  eopts.engine = opts.engine;
   eopts.join_order_seed = opts.join_order_seed;
   Result<std::vector<AnswerTuple>> answers =
       Evaluate(compiled_plan, eopts, opts.capture_sql, stats);

@@ -94,7 +94,7 @@ struct RewriterOptions {
   /// compile path injects its incrementally-patched classification here so
   /// a refresh never re-runs the closure. Ignored for `kPerfectRef`; must
   /// actually classify the same TBox when set.
-  std::shared_ptr<const core::Classification> classification;
+  std::shared_ptr<const core::Classification> classification = nullptr;
 };
 
 /// Per-call budget controls for `Rewriter::Rewrite`.

@@ -50,6 +50,14 @@ bool EvalSink::PollScan() {
   return true;
 }
 
+bool EvalSink::PollOutput() {
+  if (budget_ == nullptr || (++produced_ & 0xFF) != 0) return true;
+  Status s = budget_->Check("rdb");
+  if (s.ok()) return true;
+  Exhaust(std::move(s));
+  return false;
+}
+
 void EvalSink::Exhaust(Status why) {
   stop_ = true;
   if (exhausted_.ok()) exhausted_ = std::move(why);
@@ -324,7 +332,9 @@ void AppendTuple(const Chunk& prefix, size_t i, uint32_t r, Chunk* next) {
 
 // One join step: filtered scan of the new table, hash build keyed on its
 // join columns, batched probe over the prefix tuples (cross product when no
-// join predicate connects the step).
+// join predicate connects the step). Probed prefix tuples count as scanned;
+// every appended output tuple is polled separately, since one probe can
+// produce arbitrarily many.
 Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
                 EvalSink* sink, EvalStats* stats, Chunk* next, bool* aborted) {
   const Step& step = steps[k];
@@ -343,7 +353,13 @@ Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
           *aborted = true;
           return Status::Ok();
         }
-        for (uint32_t r : matches) AppendTuple(prefix, i, r, next);
+        for (uint32_t r : matches) {
+          if (!sink->PollOutput()) {
+            *aborted = true;
+            return Status::Ok();
+          }
+          AppendTuple(prefix, i, r, next);
+        }
       }
     }
     return Status::Ok();
@@ -379,7 +395,13 @@ Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
       }
       auto it = ht.find(key);
       if (it == ht.end()) continue;
-      for (uint32_t r : it->second) AppendTuple(prefix, i, r, next);
+      for (uint32_t r : it->second) {
+        if (!sink->PollOutput()) {
+          *aborted = true;
+          return Status::Ok();
+        }
+        AppendTuple(prefix, i, r, next);
+      }
     }
   }
   return Status::Ok();
@@ -426,10 +448,8 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
   return programs;
 }
 
-Status EvalPlan(const std::vector<BlockProgram>& programs,
-                const EvalOptions& options, EvalSink* sink, EvalStats* stats,
-                size_t* blocks_done) {
-  (void)options;
+Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
+                EvalStats* stats, size_t* blocks_done) {
   // Only prefixes appearing in ≥2 blocks are worth materialising in the
   // shared cache.
   std::unordered_map<std::string, size_t> key_blocks;
@@ -486,6 +506,10 @@ Status EvalPlan(const std::vector<BlockProgram>& programs,
       if (stats != nullptr) ++stats->batches;
       const size_t end = std::min(cur->rows, base + kBatchRows);
       for (size_t i = base; i < end; ++i) {
+        if (!sink->PollOutput()) {
+          stopped = true;
+          break;
+        }
         Row row = prog.row_template;
         for (const Output& o : prog.outputs) {
           row[o.out_pos] =

@@ -15,9 +15,9 @@
 #include "rdb/stats.h"
 #include "rdb/table.h"
 
-/// Engine-internal structures shared between the row-at-a-time evaluator
-/// (query.cc) and the batched columnar evaluator (columnar.cc). Not part
-/// of the public rdb API.
+/// Evaluator-internal structures shared between name resolution and plan
+/// preparation (query.cc) and the batched columnar evaluator
+/// (columnar.cc). Not part of the public rdb API.
 
 namespace olite::rdb {
 
@@ -28,7 +28,7 @@ struct ResolvedRef {
 };
 
 /// A select block with every name resolved against a concrete database:
-/// the common IR both evaluators execute.
+/// the IR the columnar compiler consumes.
 struct ResolvedBlock {
   std::vector<const Table*> tables;
   std::vector<ResolvedRef> select;
@@ -40,7 +40,7 @@ struct ResolvedBlock {
   std::vector<size_t> select_positions;
 };
 
-/// The result accumulator both engines emit into: a hashed distinct-row
+/// The result accumulator the evaluator emits into: a hashed distinct-row
 /// set (O(1) dedup per emitted row) plus the shared budget/row-cap
 /// bookkeeping. `stopped` latches once a cap is hit; `exhausted` carries
 /// the reason (the caller decides between degrading and failing). The
@@ -56,9 +56,18 @@ class EvalSink {
   /// the result set stays exactly at the cap).
   bool Emit(Row row);
 
-  /// Counts one scanned source row and polls the budget every 256 rows.
-  /// Returns false once evaluation must stop.
+  /// Counts one scanned source row (or probed intermediate tuple) and
+  /// polls the budget every 256 rows. Returns false once evaluation must
+  /// stop.
   bool PollScan();
+
+  /// Polls the budget every 256 produced tuples — join output appended to
+  /// an intermediate, or rows projected into the result. Loops whose
+  /// length is the output size call this so a small input with a large
+  /// output (a cross product) still honours deadlines and cancellation;
+  /// it does not count towards `scanned()`. Returns false once evaluation
+  /// must stop.
+  bool PollOutput();
 
   /// Latches the stop flag with `why` (first reason wins).
   void Exhaust(Status why);
@@ -76,6 +85,7 @@ class EvalSink {
   const ExecBudget* budget_ = nullptr;
   uint64_t max_rows_ = 0;
   uint64_t scanned_ = 0;
+  uint64_t produced_ = 0;
   bool stop_ = false;
   Status exhausted_;
 };
@@ -149,13 +159,13 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
 
 /// Evaluates the compiled plan into `sink`: batched scans, hash joins and
 /// projection, with the fault site `kRdbExecute` firing once per block and
-/// once per batch, and the budget polled per batch. Returns non-OK only
-/// for an injected fault; budget/cap exhaustion latches in the sink.
+/// once per batch, and the budget polled every 256 scanned, probed or
+/// produced tuples. Returns non-OK only for an injected fault; budget/cap
+/// exhaustion latches in the sink.
 /// `blocks_done` (optional) counts fully evaluated blocks; `stats`
 /// (optional) accumulates evaluator counters.
-Status EvalPlan(const std::vector<BlockProgram>& programs,
-                const EvalOptions& options, EvalSink* sink, EvalStats* stats,
-                size_t* blocks_done);
+Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
+                EvalStats* stats, size_t* blocks_done);
 
 }  // namespace columnar
 }  // namespace olite::rdb

@@ -1,11 +1,5 @@
 #include "rdb/query.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <string_view>
-
-#include "common/fault_injection.h"
-#include "common/stopwatch.h"
 #include "rdb/columnar.h"
 #include "rdb/stats.h"
 
@@ -83,87 +77,7 @@ Result<ResolvedBlock> ResolveBlock(const Database& db,
   return out;
 }
 
-// Left-deep nested-loop evaluation (the baseline engine): bind tables one
-// at a time, applying every join/filter as soon as all of its references
-// are bound. Returns early once the sink latches a stop.
-void EvalBlockNested(const ResolvedBlock& block, size_t depth,
-                     std::vector<const Row*>* binding, EvalSink* sink) {
-  if (sink->stopped()) return;
-  if (depth == block.tables.size()) {
-    Row result = block.row_template;
-    for (size_t i = 0; i < block.select.size(); ++i) {
-      const ResolvedRef& ref = block.select[i];
-      result[block.select_positions[i]] =
-          (*(*binding)[ref.table_index])[ref.column_index];
-    }
-    sink->Emit(std::move(result));
-    return;
-  }
-  auto bound = [&](const ResolvedRef& r) { return r.table_index <= depth; };
-  for (const Row& row : block.tables[depth]->rows()) {
-    if (!sink->PollScan()) return;
-    (*binding)[depth] = &row;
-    bool ok = true;
-    for (const auto& [col, value] : block.filters) {
-      if (col.table_index == depth &&
-          !((*(*binding)[col.table_index])[col.column_index] == value)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      for (const auto& [l, r] : block.joins) {
-        // Apply once both sides are bound and at least one was bound now.
-        if (!bound(l) || !bound(r)) continue;
-        if (l.table_index != depth && r.table_index != depth) continue;
-        if (!((*(*binding)[l.table_index])[l.column_index] ==
-              (*(*binding)[r.table_index])[r.column_index])) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) EvalBlockNested(block, depth + 1, binding, sink);
-  }
-}
-
-Status EvalNestedLoop(const std::vector<ResolvedBlock>& blocks,
-                      EvalSink* sink, EvalStats* stats, size_t* blocks_done) {
-  for (const auto& resolved : blocks) {
-    OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
-    Stopwatch block_sw;
-    std::vector<const Row*> binding(resolved.tables.size(), nullptr);
-    EvalBlockNested(resolved, 0, &binding, sink);
-    stats->block_us.push_back(block_sw.ElapsedMicros());
-    if (sink->stopped()) break;
-    ++(*blocks_done);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
-
-const char* EvalEngineName(EvalEngine e) {
-  switch (e) {
-    case EvalEngine::kDefault: return "default";
-    case EvalEngine::kNestedLoop: return "nested_loop";
-    case EvalEngine::kColumnar: return "columnar";
-  }
-  return "?";
-}
-
-EvalEngine ResolveEvalEngine(EvalEngine requested) {
-  if (requested != EvalEngine::kDefault) return requested;
-  // The environment override backs the ctest engine matrix; read once.
-  static const EvalEngine env_default = [] {
-    const char* e = std::getenv("OLITE_EVAL_ENGINE");
-    if (e != nullptr && std::string_view(e) == "nested_loop") {
-      return EvalEngine::kNestedLoop;
-    }
-    return EvalEngine::kColumnar;
-  }();
-  return env_default;
-}
 
 std::string SqlQuery::ToString() const {
   std::string out;
@@ -230,34 +144,27 @@ Status ValidateArity(const SqlQuery& query) {
   return Status::Ok();
 }
 
-// Shared evaluation core of both Execute overloads: dispatch to the
-// selected engine, then apply the common truncation/degradation protocol.
-// `programs` may be null (ad-hoc path under the nested-loop engine, or a
-// join_order_seed recompilation below).
+// Shared evaluation core of both Execute overloads: run the columnar
+// programs, then apply the truncation/degradation protocol. `programs` may
+// be null (ad-hoc path); it and the join_order_seed hook compile here.
 Result<std::vector<Row>> EvalResolvedBlocks(
     const std::vector<ResolvedBlock>& blocks,
     const std::vector<columnar::BlockProgram>* programs,
     const EvalOptions& options) {
-  const EvalEngine engine = ResolveEvalEngine(options.engine);
   EvalSink sink(options.budget, options.max_rows);
   EvalStats local_stats;
   EvalStats* stats =
       options.eval_stats != nullptr ? options.eval_stats : &local_stats;
   *stats = {};
-  stats->engine = EvalEngineName(engine);
   size_t blocks_done = 0;
-  if (engine == EvalEngine::kColumnar) {
-    std::vector<columnar::BlockProgram> recompiled;
-    if (programs == nullptr || options.join_order_seed != 0) {
-      recompiled =
-          columnar::CompilePlan(blocks, nullptr, options.join_order_seed);
-      programs = &recompiled;
-    }
-    OLITE_RETURN_IF_ERROR(columnar::EvalPlan(*programs, options, &sink,
-                                             stats, &blocks_done));
-  } else {
-    OLITE_RETURN_IF_ERROR(EvalNestedLoop(blocks, &sink, stats, &blocks_done));
+  std::vector<columnar::BlockProgram> recompiled;
+  if (programs == nullptr || options.join_order_seed != 0) {
+    recompiled =
+        columnar::CompilePlan(blocks, nullptr, options.join_order_seed);
+    programs = &recompiled;
   }
+  OLITE_RETURN_IF_ERROR(
+      columnar::EvalPlan(*programs, &sink, stats, &blocks_done));
   stats->rows_scanned = sink.scanned();
   std::vector<Row> out = sink.TakeSorted();
   if (sink.stopped()) {
@@ -278,8 +185,8 @@ Result<std::vector<Row>> EvalResolvedBlocks(
 struct PreparedPlan::Resolved {
   std::vector<ResolvedBlock> blocks;
   /// Columnar programs compiled once at preparation time (with statistics
-  /// when the caller supplied them). The nested-loop engine and the
-  /// join_order_seed test hook ignore them.
+  /// when the caller supplied them). The join_order_seed test hook ignores
+  /// them.
   std::vector<columnar::BlockProgram> programs;
 };
 

@@ -65,35 +65,11 @@ struct SqlQuery {
   std::string ToString() const;
 };
 
-/// Which physical evaluator executes a query.
-enum class EvalEngine : uint8_t {
-  /// Resolved at execution time: the `OLITE_EVAL_ENGINE` environment
-  /// variable ("columnar" / "nested_loop") when set, else kColumnar. The
-  /// env override lets the ctest matrix run the whole tier-1 suite under
-  /// either engine without code changes.
-  kDefault = 0,
-  /// Row-at-a-time left-deep nested-loop join (the original evaluator,
-  /// kept as the baseline and fallback).
-  kNestedLoop,
-  /// Batched columnar operators: filtered scan → hash join → project →
-  /// union, with statistics-driven join reordering and shared-subplan
-  /// reuse across union blocks.
-  kColumnar,
-};
-
-/// Canonical name of a *resolved* engine ("columnar" / "nested_loop").
-const char* EvalEngineName(EvalEngine e);
-
-/// Resolves kDefault against the environment override.
-EvalEngine ResolveEvalEngine(EvalEngine requested);
-
 /// Evaluator counters of one `Execute` call (see AnswerStats::eval for the
 /// serving-side surface).
 struct EvalStats {
-  /// Resolved engine that ran ("columnar" / "nested_loop").
-  const char* engine = "";
-  /// Batches processed by the columnar engine (scan/build/probe/project
-  /// slices of up to 1024 tuples); 0 under the nested-loop engine.
+  /// Batches processed (scan/build/probe/project slices of up to 1024
+  /// tuples).
   uint64_t batches = 0;
   /// Source rows visited by scans plus intermediate tuples probed.
   uint64_t rows_scanned = 0;
@@ -114,8 +90,10 @@ struct EvalStats {
 /// Budget controls for `Execute`.
 struct EvalOptions {
   /// Shared budget: the kRows quota caps materialised distinct rows, the
-  /// deadline/cancellation flag is polled every few hundred scanned source
-  /// rows (per batch under the columnar engine). May be null.
+  /// deadline/cancellation flag is polled every 256 scanned or probed rows
+  /// and every 256 produced tuples (join output and projected rows), so a
+  /// large cross product or projection stops as promptly as a large scan.
+  /// May be null.
   const ExecBudget* budget = nullptr;
   /// Local distinct-row cap, independent of any budget (0 = unlimited).
   uint64_t max_rows = 0;
@@ -124,10 +102,7 @@ struct EvalOptions {
   bool allow_partial = false;
   /// Records a truncation event when evaluation stopped early.
   Degradation* degradation = nullptr;
-  /// Physical evaluator; kDefault resolves via OLITE_EVAL_ENGINE, else
-  /// columnar.
-  EvalEngine engine = EvalEngine::kDefault;
-  /// Test hook: with a non-zero seed the columnar engine replaces the
+  /// Test hook: with a non-zero seed the evaluator replaces the
   /// cost-based join order of every block by a seeded random permutation
   /// (recompiled per call). Answers must not change — the conformance
   /// metamorphic check sweeps seeds to prove it.
@@ -136,10 +111,10 @@ struct EvalOptions {
   EvalStats* eval_stats = nullptr;
 };
 
-/// Evaluates `query` against `db` under the selected engine; distinct rows
-/// in deterministic (sorted) order. Each select block is a fault-injection
-/// point (`fault::Site::kRdbExecute`; the columnar engine additionally
-/// fires it per batch).
+/// Evaluates `query` against `db` with the batched columnar evaluator
+/// (filtered scan → hash join → project → union, see rdb/columnar.h);
+/// distinct rows in deterministic (sorted) order. Each select block and
+/// each batch is a fault-injection point (`fault::Site::kRdbExecute`).
 Result<std::vector<Row>> Execute(const Database& db, const SqlQuery& query,
                                  const EvalOptions& options = {});
 

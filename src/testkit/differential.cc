@@ -18,6 +18,7 @@
 #include "query/abox_eval.h"
 #include "reasoner/tableau_classifier.h"
 #include "testkit/chase_oracle.h"
+#include "testkit/reference_eval.h"
 #include "testkit/subsumption_oracle.h"
 
 namespace olite::testkit {
@@ -254,38 +255,35 @@ std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
     auto chase_rows = chase.CertainAnswers(cq);
     TupleSet want(chase_rows.begin(), chase_rows.end());
 
-    auto run = [&](const obda::AnswerOptions& opts, obda::AnswerStats* stats,
-                   const std::string& tag) -> std::optional<TupleSet> {
-      auto rows = (*system)->Answer(cq, opts, stats);
+    auto run = [&](const obda::AnswerOptions& opts, const std::string& tag) {
+      auto rows = (*system)->Answer(cq, opts);
       if (!rows.ok()) {
         diffs.push_back(label + " [" + tag + "]: " +
                         rows.status().ToString());
-        return std::nullopt;
+        return;
       }
-      TupleSet got(rows->begin(), rows->end());
-      CompareTupleSets(label, want, got, tag, &diffs);
-      return got;
+      CompareTupleSets(label, want, TupleSet(rows->begin(), rows->end()), tag,
+                       &diffs);
     };
 
     // Cold columnar compile (bypassing the cache), then a hot pass that
     // exercises the cached plan's precompiled programs.
     obda::AnswerOptions columnar;
-    columnar.engine = rdb::EvalEngine::kColumnar;
     columnar.bypass_cache = true;
-    obda::AnswerStats cstats;
-    auto col = run(columnar, &cstats, "columnar");
-    if (col.has_value() && cstats.sql_blocks > 0 &&
-        std::string(cstats.eval.engine) != "columnar") {
-      diffs.push_back(label + " [columnar]: stats report engine '" +
-                      cstats.eval.engine + "'");
-    }
+    run(columnar, "columnar");
     columnar.bypass_cache = false;
-    run(columnar, nullptr, "columnar-cached");
+    run(columnar, "columnar-cached");
 
-    obda::AnswerOptions nested;
-    nested.engine = rdb::EvalEngine::kNestedLoop;
-    nested.bypass_cache = true;
-    run(nested, nullptr, "nested-loop");
+    // The reference evaluator over the same unfolded SQL.
+    auto reference = ReferenceAnswers(*(*system)->compiled(), cq);
+    if (!reference.ok()) {
+      diffs.push_back(label + " [reference]: " +
+                      reference.status().ToString());
+    } else {
+      CompareTupleSets(label, want,
+                       TupleSet(reference->begin(), reference->end()),
+                       "reference", &diffs);
+    }
 
     auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
                                         query::RewriteMode::kPerfectRef);
@@ -300,10 +298,9 @@ std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
     // the answer set.
     for (uint64_t seed : options.join_order_seeds) {
       obda::AnswerOptions shuffled;
-      shuffled.engine = rdb::EvalEngine::kColumnar;
       shuffled.bypass_cache = true;
       shuffled.join_order_seed = seed;
-      run(shuffled, nullptr, "columnar-seed" + std::to_string(seed));
+      run(shuffled, "columnar-seed" + std::to_string(seed));
     }
   }
   return diffs;

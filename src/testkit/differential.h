@@ -65,16 +65,17 @@ struct EvaluatorDiffOptions {
   /// testkit/chase_oracle.h).
   uint32_t chase_depth = 8;
   /// Seeds for the join-order metamorphic sweep: under each seed the
-  /// columnar engine runs every block under a random join order, which
+  /// columnar evaluator runs every block under a random join order, which
   /// must not change any answer. Empty = skip the sweep.
   std::vector<uint64_t> join_order_seeds = {1, 7, 0xBADCAFE};
 };
 
 /// Differential *evaluator* conformance over every query of `w`: the
-/// columnar engine (cold-compiled and plan-cache-hot) and the nested-loop
-/// engine must produce identical certain-answer sets, refereed by the
-/// chase oracle and by direct ABox evaluation; a randomised join-order
-/// sweep then checks that physical join order never changes answers.
+/// columnar evaluator (cold-compiled and plan-cache-hot) and the reference
+/// evaluator (testkit/reference_eval.h, over the same unfolded SQL) must
+/// produce identical certain-answer sets, refereed by the chase oracle and
+/// by direct ABox evaluation; a randomised join-order sweep then checks
+/// that physical join order never changes answers.
 /// Returns discrepancy descriptions; empty = agreement.
 std::vector<std::string> CompareEvaluators(
     const benchgen::Workload& w, const EvaluatorDiffOptions& options = {});

@@ -348,7 +348,7 @@ TEST_P(ClassifyEngineTest, CountNamedSubsumptions) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, ClassifyEngineTest,
                          ::testing::Values(graph::ClosureEngine::kBfs,
                                            graph::ClosureEngine::kSccMerge,
-                                           graph::ClosureEngine::kSccBitset),
+                                           graph::ClosureEngine::kDynamic),
                          [](const auto& pinfo) {
                            return graph::ClosureEngineName(pinfo.param);
                          });
@@ -461,7 +461,7 @@ dllite::Ontology RandomOntology(uint64_t seed) {
 TEST(ClassifierParallelTest, IdenticalResultsAtEveryWidth) {
   const graph::ClosureEngine kEngines[] = {graph::ClosureEngine::kBfs,
                                            graph::ClosureEngine::kSccMerge,
-                                           graph::ClosureEngine::kSccBitset};
+                                           graph::ClosureEngine::kDynamic};
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     dllite::Ontology onto = RandomOntology(seed);
     for (graph::ClosureEngine engine : kEngines) {

@@ -301,9 +301,10 @@ TEST(ConformanceSweep, ConstraintPruningAgreesWithOracles) {
       << "the constraint-rich sweep never pruned a single disjunct";
 }
 
-// Evaluator conformance: the batched columnar engine (cold, plan-cache-hot
-// and under randomised join orders) against the nested-loop baseline,
-// refereed by the chase oracle and direct ABox evaluation.
+// Evaluator conformance: the batched columnar evaluator (cold,
+// plan-cache-hot and under randomised join orders) against the testkit
+// nested-loop reference evaluator over the same unfolded SQL, refereed by
+// the chase oracle and direct ABox evaluation.
 TEST(EvaluatorConformance, ColumnarAgreesWithNestedLoopAndOracles) {
   const uint64_t num_seeds = EnvOr("OLITE_EVAL_CONFORMANCE_SEEDS", 60);
   const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "graph/bitset.h"
 #include "graph/closure.h"
 #include "graph/digraph.h"
 #include "graph/dynamic_closure.h"
@@ -47,41 +46,6 @@ TEST(DigraphTest, ToDotMentionsNodesAndArcs) {
   g.AddArc(0, 1);
   std::string dot = g.ToDot({"A", "B"});
   EXPECT_NE(dot.find("\"A\" -> \"B\""), std::string::npos);
-}
-
-TEST(BitsetTest, SetTestClear) {
-  DynamicBitset b(130);
-  EXPECT_FALSE(b.Test(0));
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-}
-
-TEST(BitsetTest, OrWithUnions) {
-  DynamicBitset a(100), b(100);
-  a.Set(3);
-  b.Set(70);
-  a.OrWith(b);
-  EXPECT_TRUE(a.Test(3));
-  EXPECT_TRUE(a.Test(70));
-}
-
-TEST(BitsetTest, ForEachSetAscending) {
-  DynamicBitset b(200);
-  b.Set(5);
-  b.Set(63);
-  b.Set(64);
-  b.Set(199);
-  std::vector<size_t> seen;
-  b.ForEachSet([&](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<size_t>{5, 63, 64, 199}));
 }
 
 TEST(SccTest, ChainIsAllSingletons) {
@@ -231,7 +195,7 @@ TEST_P(ClosureEngineTest, RandomGraphAgreesWithBfsOracle) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, ClosureEngineTest,
                          ::testing::Values(ClosureEngine::kBfs,
                                            ClosureEngine::kSccMerge,
-                                           ClosureEngine::kSccBitset),
+                                           ClosureEngine::kDynamic),
                          [](const auto& pinfo) {
                            return ClosureEngineName(pinfo.param);
                          });
@@ -242,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ClosureEngineTest,
 TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
   const ClosureEngine kEngines[] = {ClosureEngine::kBfs,
                                     ClosureEngine::kSccMerge,
-                                    ClosureEngine::kSccBitset};
+                                    ClosureEngine::kDynamic};
   const unsigned kWidths[] = {1, 2, 8};
   Rng rng(2013);
   for (int trial = 0; trial < 50; ++trial) {

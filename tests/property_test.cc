@@ -63,13 +63,13 @@ TEST_P(CrossEngineTest, GraphAndCompletionAgreeExactly) {
 
 TEST_P(CrossEngineTest, GraphEnginesAgreeAcrossClosureAlgorithms) {
   dllite::Ontology onto = benchgen::Generate(RandomishConfig(GetParam()));
-  core::ClassificationOptions bfs, merge, bitset;
+  core::ClassificationOptions bfs, merge, dynamic;
   bfs.engine = graph::ClosureEngine::kBfs;
   merge.engine = graph::ClosureEngine::kSccMerge;
-  bitset.engine = graph::ClosureEngine::kSccBitset;
+  dynamic.engine = graph::ClosureEngine::kDynamic;
   auto a = core::Classify(onto.tbox(), onto.vocab(), bfs);
   auto b = core::Classify(onto.tbox(), onto.vocab(), merge);
-  auto c = core::Classify(onto.tbox(), onto.vocab(), bitset);
+  auto c = core::Classify(onto.tbox(), onto.vocab(), dynamic);
   EXPECT_EQ(a.CountNamedSubsumptions(), b.CountNamedSubsumptions());
   EXPECT_EQ(b.CountNamedSubsumptions(), c.CountNamedSubsumptions());
   EXPECT_EQ(a.UnsatisfiableConcepts(), b.UnsatisfiableConcepts());

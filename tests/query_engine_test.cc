@@ -426,17 +426,13 @@ TEST(QueryEngineTest, ConcurrentDistinctQueryStress) {
 }
 
 TEST(QueryEngineTest, ConcurrentColumnarEngineStress) {
-  // Hammers one engine from 8 threads with the columnar evaluator forced
-  // on, mixing cache-hot executions of one shared PreparedPlan (whose
-  // shared-subplan cache must be call-local), nested-loop calls and
-  // randomised join orders. Run under TSan in CI; any shared mutable
-  // evaluator state shows up as a race, any engine disagreement as a
-  // failure count.
+  // Hammers one engine from 8 threads, mixing cache-hot executions of one
+  // shared PreparedPlan (whose shared-subplan cache must be call-local),
+  // cold cache-bypassing calls and randomised join orders. Run under TSan
+  // in CI; any shared mutable evaluator state shows up as a race, any
+  // disagreement as a failure count.
   QueryEngine engine(Fixture().Compile(query::RewriteMode::kClassified));
-  AnswerOptions columnar;
-  columnar.engine = rdb::EvalEngine::kColumnar;
-  auto baseline = engine.Answer("q(x, y) :- Professor(x), teaches(x, y)",
-                                columnar);
+  auto baseline = engine.Answer("q(x, y) :- Professor(x), teaches(x, y)");
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<AnswerTuple> want = Sorted(*baseline);
   std::atomic<int> failures{0};
@@ -445,8 +441,7 @@ TEST(QueryEngineTest, ConcurrentColumnarEngineStress) {
     threads.emplace_back([&engine, &want, &failures, t] {
       for (int i = 0; i < 25; ++i) {
         AnswerOptions opts;
-        opts.engine = (i % 3 == 2) ? rdb::EvalEngine::kNestedLoop
-                                   : rdb::EvalEngine::kColumnar;
+        opts.bypass_cache = (i % 3 == 2);
         if (i % 5 == 4) opts.join_order_seed = t * 100 + i;
         AnswerStats stats;
         auto r = engine.Answer("q(x, y) :- Professor(x), teaches(x, y)",
@@ -462,20 +457,19 @@ TEST(QueryEngineTest, ConcurrentColumnarEngineStress) {
 
 TEST(QueryEngineTest, AnswerStatsSurfaceEvaluatorCounters) {
   QueryEngine engine(Fixture().Compile(query::RewriteMode::kClassified));
-  AnswerOptions opts;
-  opts.engine = rdb::EvalEngine::kColumnar;
   AnswerStats stats;
-  auto r = engine.Answer("q(x) :- Person(x)", opts, &stats);
+  auto r = engine.Answer("q(x) :- Person(x)", &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_STREQ(stats.eval.engine, "columnar");
   EXPECT_GT(stats.eval.batches, 0u);
   EXPECT_GT(stats.eval.rows_scanned, 0u);
-  opts.engine = rdb::EvalEngine::kNestedLoop;
-  opts.bypass_cache = true;
-  auto n = engine.Answer("q(x) :- Person(x)", opts, &stats);
-  ASSERT_TRUE(n.ok());
-  EXPECT_STREQ(stats.eval.engine, "nested_loop");
-  EXPECT_EQ(Sorted(*r), Sorted(*n));
+  // The same counters on a cache hit, which runs the precompiled programs.
+  AnswerStats hot;
+  auto h = engine.Answer("q(x) :- Person(x)", &hot);
+  ASSERT_TRUE(h.ok());
+  EXPECT_TRUE(hot.cache.hit);
+  EXPECT_EQ(hot.eval.batches, stats.eval.batches);
+  EXPECT_EQ(hot.eval.rows_scanned, stats.eval.rows_scanned);
+  EXPECT_EQ(Sorted(*r), Sorted(*h));
 }
 
 TEST(QueryEngineTest, StageTimingsColdVsCacheHit) {
