@@ -1,8 +1,10 @@
 // Conformance sweep harness (nightly CI entry point): drives the
-// differential testkit over a window of freshly seeded workloads and
-// emits a machine-readable summary. Any seed whose engines disagree is
-// ddmin-shrunk on the spot and the minimised repro written next to the
-// summary, so a red nightly run ships its own bug report.
+// differential testkit (classifiers plus every answer leg of
+// testkit::CompareAnswers) over a window of freshly seeded
+// testkit::SweepConfig workloads through the shared testkit::RunSweep
+// loop and emits a machine-readable summary. Any seed whose engines
+// disagree is ddmin-shrunk on the spot and the minimised repro written
+// next to the summary, so a red nightly run ships its own bug report.
 //
 // Flags: --seeds=<n>          workloads to sweep          (default 200)
 //        --seed-base=<n>      first seed                  (default 0)
@@ -13,9 +15,11 @@
 //
 // The JSON output is one object:
 //   {"seeds_checked", "seed_base", "classifier_pairs_compared",
-//    "answer_pairs_compared", "discrepancies_found", "shrink_iterations",
+//    "answer_pairs_compared" (answer legs checked against the chase
+//    oracle), "discrepancies_found", "shrink_iterations",
 //    "repros": [{"seed", "path", "first_diff"}], "elapsed_ms"}
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,43 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "benchgen/workload.h"
 #include "common/stopwatch.h"
-#include "testkit/corpus.h"
-#include "testkit/differential.h"
-#include "testkit/shrinker.h"
+#include "testkit/sweep.h"
 
 namespace {
-
-using olite::testkit::ConformanceCase;
-
-// Mirrors the tier-1 conformance_test sweep: small mixed-feature
-// signatures whose shape varies with the seed.
-olite::benchgen::WorkloadConfig SweepConfig(uint64_t seed) {
-  olite::benchgen::WorkloadConfig cfg;
-  cfg.ontology.name = "conformance";
-  cfg.ontology.seed = 2 * seed + 1;
-  cfg.ontology.num_concepts = 12 + static_cast<uint32_t>(seed % 14);
-  cfg.ontology.num_roles = 3 + static_cast<uint32_t>(seed % 3);
-  cfg.ontology.num_attributes = static_cast<uint32_t>(seed % 2);
-  cfg.ontology.num_roots = 2;
-  cfg.ontology.avg_branching = 2.0 + static_cast<double>(seed % 3);
-  cfg.ontology.multi_parent_prob = 0.2;
-  cfg.ontology.role_hierarchy_fraction = 0.5;
-  cfg.ontology.domain_range_fraction = 0.3;
-  cfg.ontology.qualified_exists_per_concept = 0.2;
-  cfg.ontology.unqualified_exists_per_concept = 0.2;
-  cfg.ontology.disjointness_fraction = 0.2;
-  cfg.ontology.role_disjointness_fraction = 0.1;
-  cfg.seed = seed + 1000;
-  cfg.num_individuals = 16;
-  cfg.num_concept_assertions = 24;
-  cfg.num_role_assertions = 24;
-  cfg.num_attribute_assertions = (seed % 2 == 1) ? 6 : 0;
-  cfg.num_queries = 3;
-  cfg.max_atoms_per_query = 3;
-  return cfg;
-}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -73,12 +44,6 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
-
-struct Repro {
-  uint64_t seed = 0;
-  std::string path;
-  std::string first_diff;
-};
 
 }  // namespace
 
@@ -109,52 +74,44 @@ int main(int argc, char** argv) {
   uint64_t answer_pairs = 0;
   uint64_t discrepancies = 0;
   uint64_t shrink_iterations = 0;
-  std::vector<Repro> repros;
   olite::Stopwatch watch;
 
-  for (uint64_t i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + i;
-    olite::benchgen::Workload w =
-        olite::benchgen::GenerateWorkload(SweepConfig(seed));
-
+  // RunSweep re-runs the checker on shrink candidates of a failing seed;
+  // only the first (full-workload) pass of each seed is counted.
+  uint64_t counted_seed = UINT64_MAX;
+  auto check = [&](const olite::benchgen::Workload& w, uint64_t seed) {
     olite::testkit::ClassifierDiffOptions copts;
-    copts.run_tableau = tableau_every != 0 && i % tableau_every == 0;
+    copts.run_tableau =
+        tableau_every != 0 && (seed - seed_base) % tableau_every == 0;
     std::vector<std::string> diffs =
         olite::testkit::CompareClassifiers(w.ontology, copts);
-    // graph/completion/oracle pairwise, plus three more with the tableau.
-    classifier_pairs += copts.run_tableau ? 6 : 3;
-
-    olite::testkit::AnswerDiffOptions aopts;
-    aopts.chase_depth =
-        static_cast<uint32_t>(SweepConfig(seed).max_atoms_per_query) + 1;
-    for (std::string& d : olite::testkit::CompareAnswerPaths(w, aopts)) {
+    olite::testkit::AnswerTally tally;
+    olite::testkit::AnswerCheckOptions aopts;
+    aopts.tally = &tally;
+    for (std::string& d : olite::testkit::CompareAnswers(w, aopts)) {
       diffs.push_back(std::move(d));
     }
-    answer_pairs += 3;  // obda-sql / abox-eval / chase-oracle pairwise
-
-    if (diffs.empty()) continue;
-    discrepancies += diffs.size();
-    std::fprintf(stderr, "seed %llu: %zu discrepancies; shrinking\n",
-                 static_cast<unsigned long long>(seed), diffs.size());
-
-    ConformanceCase c = olite::testkit::CaseFromWorkload(w);
-    c.expect_discrepancy = true;
-    auto fails = [](const ConformanceCase& candidate) {
-      return !olite::testkit::RunCase(candidate, /*run_tableau=*/false)
-                  .empty();
-    };
-    olite::testkit::ShrinkStats stats;
-    ConformanceCase shrunk = c;
-    if (fails(c)) {
-      shrunk = olite::testkit::Shrink(c, fails, {}, &stats);
-      shrink_iterations += stats.iterations;
+    if (seed != counted_seed) {
+      counted_seed = seed;
+      // graph/completion/oracle pairwise, plus three more with the tableau.
+      classifier_pairs += copts.run_tableau ? 6 : 3;
+      answer_pairs += tally.legs;
     }
-    std::string path = shrink_dir + "/repro_seed" + std::to_string(seed) +
-                       ".case";
-    std::ofstream repro(path);
-    repro << "# shrunk from sweep seed " << seed << "\n"
-          << olite::testkit::SerializeCase(shrunk);
-    repros.push_back({seed, path, diffs.front()});
+    return diffs;
+  };
+  const auto failures = olite::testkit::RunSweep(
+      seed_base, seeds, olite::testkit::SweepConfig, check,
+      /*max_failures=*/0);
+
+  auto repro_path = [&](uint64_t seed) {
+    return shrink_dir + "/repro_seed" + std::to_string(seed) + ".case";
+  };
+  for (const auto& f : failures) {
+    discrepancies += f.diffs.size();
+    shrink_iterations += f.shrink.iterations;
+    std::ofstream(repro_path(f.seed))
+        << "# shrunk from sweep seed " << f.seed << "\n"
+        << olite::testkit::SerializeCase(f.repro);
   }
 
   const double elapsed_ms = watch.ElapsedMillis();
@@ -178,27 +135,27 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(answer_pairs),
                static_cast<unsigned long long>(discrepancies),
                static_cast<unsigned long long>(shrink_iterations));
-  for (size_t i = 0; i < repros.size(); ++i) {
+  for (size_t i = 0; i < failures.size(); ++i) {
     std::fprintf(f,
                  "%s\n    {\"seed\": %llu, \"path\": \"%s\", "
                  "\"first_diff\": \"%s\"}",
                  i > 0 ? "," : "",
-                 static_cast<unsigned long long>(repros[i].seed),
-                 JsonEscape(repros[i].path).c_str(),
-                 JsonEscape(repros[i].first_diff).c_str());
+                 static_cast<unsigned long long>(failures[i].seed),
+                 JsonEscape(repro_path(failures[i].seed)).c_str(),
+                 JsonEscape(failures[i].diffs.front()).c_str());
   }
   std::fprintf(f,
                "%s],\n"
                "  \"elapsed_ms\": %.1f\n"
                "}\n",
-               repros.empty() ? "" : "\n  ", elapsed_ms);
+               failures.empty() ? "" : "\n  ", elapsed_ms);
   std::fclose(f);
   std::printf("checked %llu seeds (%llu classifier pairs, %llu answer "
               "pairs): %llu discrepancies, %zu shrunk repros; wrote %s\n",
               static_cast<unsigned long long>(seeds),
               static_cast<unsigned long long>(classifier_pairs),
               static_cast<unsigned long long>(answer_pairs),
-              static_cast<unsigned long long>(discrepancies), repros.size(),
+              static_cast<unsigned long long>(discrepancies), failures.size(),
               out_path.c_str());
   return discrepancies == 0 ? 0 : 2;
 }

@@ -532,6 +532,11 @@ std::vector<obda::OntologyDelta> GenerateDeltaSequence(
     auto ai = tbox.attribute_inclusions();
     auto fn = tbox.functionality();
     auto asserts = mappings.assertions();
+    // `ApplyMappingDelta` matches removals against the base set before it
+    // applies additions, so only the leading `removable` entries of
+    // `asserts` (the base assertions this delta has not claimed yet) may
+    // be removed; re-targeted copies appended below are additions.
+    size_t removable = asserts.size();
 
     for (uint64_t k = 0; k < changes; ++k) {
       if (large) {
@@ -556,10 +561,12 @@ std::vector<obda::OntologyDelta> GenerateDeltaSequence(
         continue;
       }
       if (rng.Chance(config.mapping_change_fraction)) {
-        if (rng.Chance(config.remove_fraction) && asserts.size() > 1) {
-          size_t i = rng.Uniform(asserts.size());
+        if (rng.Chance(config.remove_fraction) && asserts.size() > 1 &&
+            removable > 0) {
+          size_t i = rng.Uniform(removable);
           delta.remove_mappings.push_back(obda::SelectorFor(asserts[i]));
           asserts.erase(asserts.begin() + static_cast<ptrdiff_t>(i));
+          --removable;
         } else if (!asserts.empty()) {
           // Re-target an existing view to a random predicate of the same
           // sort: arity-safe by construction, semantically a real change.

@@ -115,52 +115,88 @@ class BfsClosure : public TransitiveClosure {
 };
 
 // ---------------------------------------------------------------------------
-// Shared SCC scaffolding: node-level queries on top of per-component
-// reachability, exploiting that Tarjan emits components in reverse
-// topological order (successor components have smaller ids).
-//
-// CRTP instead of virtual hooks: the per-component visitor is a template
-// on the concrete engine, so enumerating a reach set costs no indirect
-// call per reachable component (the hot loop of `ReachableFrom`).
-// Derived classes provide:
-//   bool ComponentReaches(NodeId cf, NodeId ct) const;
-//   template <typename Fn> void ForEachReachableComponent(NodeId c, Fn&&);
-//   uint64_t ReachableNodeCount(NodeId c) const;
+// SCC + sorted-vector merge engine (production default): per-component
+// reachability over the condensation DAG, exploiting that Tarjan emits
+// components in reverse topological order (successor components have
+// smaller ids).
 // ---------------------------------------------------------------------------
-template <typename Derived>
-class SccClosureBase : public TransitiveClosure {
+class SccMergeClosure : public TransitiveClosure {
  public:
-  explicit SccClosureBase(const Digraph& g)
-      : scc_(ComputeScc(g)), dag_(BuildCondensation(g, scc_)) {}
+  explicit SccMergeClosure(const Digraph& g, ThreadPool* pool,
+                           const ExecBudget* budget = nullptr)
+      : scc_(ComputeScc(g)), dag_(BuildCondensation(g, scc_)) {
+    abort_.budget = budget;
+    const NodeId nc = scc_.NumComponents();
+    comp_reach_.resize(nc);
+    if (!UsePool(pool)) {
+      // Component ids ascend in reverse topological order, so every
+      // successor component's reach set is already final when we process c.
+      std::vector<NodeId> merged;
+      for (NodeId c = 0; c < nc; ++c) {
+        if (abort_.Poll()) break;
+        MergeOne(c, &merged);
+      }
+    } else {
+      // Level-synchronous propagation: within a level no component can
+      // reach another, so their merges only read finalised earlier levels.
+      std::vector<std::vector<NodeId>> scratch(pool->num_threads());
+      for (const auto& level : TopologicalLevels()) {
+        pool->ParallelForShard(0, level.size(), /*grain=*/16,
+                               [&](unsigned shard, size_t i) {
+                                 if (abort_.Poll()) return;
+                                 MergeOne(level[i], &scratch[shard]);
+                               });
+      }
+    }
+    FinalizeArcCount(pool);
+  }
 
-  bool Reaches(NodeId from, NodeId to) const final {
+  bool aborted() const { return abort_.aborted.load(std::memory_order_relaxed); }
+
+  std::string EngineName() const override { return "scc_merge"; }
+
+  bool Reaches(NodeId from, NodeId to) const override {
     NodeId cf = scc_.component_of[from];
     NodeId ct = scc_.component_of[to];
     if (cf == ct) return scc_.cyclic[cf];
-    return derived().ComponentReaches(cf, ct);
+    const auto& r = comp_reach_[cf];
+    return std::binary_search(r.begin(), r.end(), ct);
   }
 
-  std::vector<NodeId> ReachableFrom(NodeId from) const final {
+  std::vector<NodeId> ReachableFrom(NodeId from) const override {
     NodeId cf = scc_.component_of[from];
     std::vector<NodeId> out;
     auto add_component = [&](NodeId c) {
       for (NodeId v : scc_.members[c]) out.push_back(v);
     };
     if (scc_.cyclic[cf]) add_component(cf);
-    derived().ForEachReachableComponent(cf, add_component);
+    for (NodeId d : comp_reach_[cf]) add_component(d);
     std::sort(out.begin(), out.end());
     return out;
   }
 
-  uint64_t NumClosureArcs() const final { return num_arcs_; }
+  uint64_t NumClosureArcs() const override { return num_arcs_; }
 
- protected:
+ private:
+  void MergeOne(NodeId c, std::vector<NodeId>* merged) {
+    merged->clear();
+    for (NodeId d : dag_.Successors(c)) {
+      merged->push_back(d);
+      const auto& rd = comp_reach_[d];
+      merged->insert(merged->end(), rd.begin(), rd.end());
+    }
+    std::sort(merged->begin(), merged->end());
+    merged->erase(std::unique(merged->begin(), merged->end()), merged->end());
+    comp_reach_[c] = *merged;
+  }
+
   /// Sums the closure-arc count; called once at the end of construction
   /// (per-component terms are independent, so this parallelises too).
   void FinalizeArcCount(ThreadPool* pool) {
     const NodeId nc = scc_.NumComponents();
     auto term = [this](NodeId c) {
-      uint64_t targets = derived().ReachableNodeCount(c);
+      uint64_t targets = 0;
+      for (NodeId d : comp_reach_[c]) targets += scc_.members[d].size();
       if (scc_.cyclic[c]) targets += scc_.members[c].size();
       return targets * scc_.members[c].size();
     };
@@ -195,81 +231,10 @@ class SccClosureBase : public TransitiveClosure {
     return levels;
   }
 
-  const Derived& derived() const { return static_cast<const Derived&>(*this); }
-
   SccResult scc_;
   Digraph dag_;
-  uint64_t num_arcs_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// SCC + sorted-vector merge engine (production default).
-// ---------------------------------------------------------------------------
-class SccMergeClosure : public SccClosureBase<SccMergeClosure> {
- public:
-  explicit SccMergeClosure(const Digraph& g, ThreadPool* pool,
-                           const ExecBudget* budget = nullptr)
-      : SccClosureBase(g) {
-    abort_.budget = budget;
-    const NodeId nc = scc_.NumComponents();
-    comp_reach_.resize(nc);
-    if (!UsePool(pool)) {
-      // Component ids ascend in reverse topological order, so every
-      // successor component's reach set is already final when we process c.
-      std::vector<NodeId> merged;
-      for (NodeId c = 0; c < nc; ++c) {
-        if (abort_.Poll()) break;
-        MergeOne(c, &merged);
-      }
-    } else {
-      // Level-synchronous propagation: within a level no component can
-      // reach another, so their merges only read finalised earlier levels.
-      std::vector<std::vector<NodeId>> scratch(pool->num_threads());
-      for (const auto& level : TopologicalLevels()) {
-        pool->ParallelForShard(0, level.size(), /*grain=*/16,
-                               [&](unsigned shard, size_t i) {
-                                 if (abort_.Poll()) return;
-                                 MergeOne(level[i], &scratch[shard]);
-                               });
-      }
-    }
-    FinalizeArcCount(pool);
-  }
-
-  bool aborted() const { return abort_.aborted.load(std::memory_order_relaxed); }
-
-  std::string EngineName() const override { return "scc_merge"; }
-
-  bool ComponentReaches(NodeId cf, NodeId ct) const {
-    const auto& r = comp_reach_[cf];
-    return std::binary_search(r.begin(), r.end(), ct);
-  }
-
-  template <typename Fn>
-  void ForEachReachableComponent(NodeId c, Fn&& fn) const {
-    for (NodeId d : comp_reach_[c]) fn(d);
-  }
-
-  uint64_t ReachableNodeCount(NodeId c) const {
-    uint64_t total = 0;
-    for (NodeId d : comp_reach_[c]) total += scc_.members[d].size();
-    return total;
-  }
-
- private:
-  void MergeOne(NodeId c, std::vector<NodeId>* merged) {
-    merged->clear();
-    for (NodeId d : dag_.Successors(c)) {
-      merged->push_back(d);
-      const auto& rd = comp_reach_[d];
-      merged->insert(merged->end(), rd.begin(), rd.end());
-    }
-    std::sort(merged->begin(), merged->end());
-    merged->erase(std::unique(merged->begin(), merged->end()), merged->end());
-    comp_reach_[c] = *merged;
-  }
-
   std::vector<std::vector<NodeId>> comp_reach_;
+  uint64_t num_arcs_ = 0;
   BuildAbort abort_;
 };
 

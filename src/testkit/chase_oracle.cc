@@ -1,5 +1,6 @@
 #include "testkit/chase_oracle.h"
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <set>
@@ -204,11 +205,18 @@ struct Builder {
 
 using Binding = std::unordered_map<std::string, std::string>;
 
-bool Bind(const Term& term, const std::string& value, Binding* binding,
+/// Binds `term` to `value` unless that contradicts the binding so far or
+/// puts a labelled null into an answer variable (a null never answers).
+bool Bind(const Term& term, const std::string& value,
+          const std::unordered_set<std::string>& answer_vars,
+          const std::unordered_set<std::string>& named, Binding* binding,
           std::vector<std::string>* bound_here) {
   if (!term.IsVar()) return term.name == value;
   auto it = binding->find(term.name);
   if (it != binding->end()) return it->second == value;
+  if (answer_vars.count(term.name) != 0 && named.count(value) == 0) {
+    return false;
+  }
   binding->emplace(term.name, value);
   bound_here->push_back(term.name);
   return true;
@@ -251,25 +259,29 @@ ChaseOracle::ChaseOracle(const dllite::TBox& tbox,
 
   b.Saturate();
 
-  // Freeze into string-keyed fact lists for backtracking evaluation.
-  size_t nc = vocab.NumConcepts(), nr = vocab.NumRoles(),
-         na = vocab.NumAttributes();
-  concept_facts_.resize(nc);
-  role_facts_.resize(nr);
-  attr_facts_.resize(na);
+  // Freeze into string-keyed, argument-indexed relations.
+  auto add = [](Relation* r, std::string first, std::string second) {
+    r->by_arg[0][first].push_back(r->rows.size());
+    r->by_arg[1][second].push_back(r->rows.size());
+    r->rows.push_back({std::move(first), std::move(second)});
+  };
+  auto& concepts = relations_[static_cast<size_t>(Atom::Kind::kConcept)];
+  auto& roles = relations_[static_cast<size_t>(Atom::Kind::kRole)];
+  auto& attrs = relations_[static_cast<size_t>(Atom::Kind::kAttribute)];
+  concepts.resize(vocab.NumConcepts());
+  roles.resize(vocab.NumRoles());
+  attrs.resize(vocab.NumAttributes());
   for (const auto& f : b.concept_set) {
-    if (f[0] < nc) concept_facts_[f[0]].push_back({b.objects[f[1]].name});
+    if (f[0] < concepts.size()) add(&concepts[f[0]], b.objects[f[1]].name, "");
   }
   for (const auto& f : b.role_set) {
-    if (f[0] < nr) {
-      role_facts_[f[0]].push_back(
-          {b.objects[f[1]].name, b.objects[f[2]].name});
+    if (f[0] < roles.size()) {
+      add(&roles[f[0]], b.objects[f[1]].name, b.objects[f[2]].name);
     }
   }
   for (const auto& f : b.attr_set) {
-    if (f[0] < na) {
-      attr_facts_[f[0]].push_back(
-          {b.objects[f[1]].name, b.values[f[2]].first});
+    if (f[0] < attrs.size()) {
+      add(&attrs[f[0]], b.objects[f[1]].name, b.values[f[2]].first);
     }
   }
   for (const auto& o : b.objects) {
@@ -285,67 +297,134 @@ ChaseOracle::ChaseOracle(const dllite::TBox& tbox,
 
 std::vector<std::vector<std::string>> ChaseOracle::CertainAnswers(
     const ConjunctiveQuery& cq) const {
-  std::set<std::vector<std::string>> out;
-  Binding binding;
-
-  // Backtracking join, structurally identical to query::EvaluateOverABox.
-  auto eval = [&](auto&& self, size_t atom_index) -> void {
-    if (atom_index == cq.atoms.size()) {
-      std::vector<std::string> tuple;
-      tuple.reserve(cq.head_vars.size());
-      for (const auto& head : cq.head_vars) {
-        // Head variables bound to constants by rewriting are absent from
-        // the body; emit the constant (a named term by construction).
-        if (const std::string* c = cq.HeadBinding(head)) {
-          tuple.push_back(*c);
-          continue;
-        }
-        const std::string& v = binding.at(head);
-        if (named_.count(v) == 0) return;  // labelled nulls never answer
-        tuple.push_back(v);
+  // Answer variables: head variables not bound to a constant by rewriting
+  // (those are absent from the body and emit the constant).
+  std::unordered_set<std::string> answer_vars;
+  for (const auto& head : cq.head_vars) {
+    if (cq.HeadBinding(head) == nullptr) answer_vars.insert(head);
+  }
+  auto shares_var = [](const Atom& a, const Atom& b) {
+    for (const auto& s : a.args) {
+      for (const auto& t : b.args) {
+        if (s.IsVar() && t.IsVar() && s.name == t.name) return true;
       }
-      out.insert(std::move(tuple));
-      return;
     }
-    const Atom& atom = cq.atoms[atom_index];
-    auto match1 = [&](const std::vector<std::array<std::string, 1>>& facts) {
-      for (const auto& fact : facts) {
-        std::vector<std::string> bound_here;
-        if (Bind(atom.args[0], fact[0], &binding, &bound_here)) {
-          self(self, atom_index + 1);
-        }
-        for (const auto& var : bound_here) binding.erase(var);
-      }
-    };
-    auto match2 = [&](const std::vector<std::array<std::string, 2>>& facts) {
-      for (const auto& fact : facts) {
-        std::vector<std::string> bound_here;
-        if (Bind(atom.args[0], fact[0], &binding, &bound_here) &&
-            Bind(atom.args[1], fact[1], &binding, &bound_here)) {
-          self(self, atom_index + 1);
-        }
-        for (const auto& var : bound_here) binding.erase(var);
-      }
-    };
-    switch (atom.kind) {
-      case Atom::Kind::kConcept:
-        if (atom.predicate < concept_facts_.size()) {
-          match1(concept_facts_[atom.predicate]);
-        }
-        break;
-      case Atom::Kind::kRole:
-        if (atom.predicate < role_facts_.size()) {
-          match2(role_facts_[atom.predicate]);
-        }
-        break;
-      case Atom::Kind::kAttribute:
-        if (atom.predicate < attr_facts_.size()) {
-          match2(attr_facts_[atom.predicate]);
-        }
-        break;
-    }
+    return false;
   };
-  eval(eval, 0);
+  auto relation = [&](const Atom& atom) -> const Relation* {
+    const auto& rels = relations_[static_cast<size_t>(atom.kind)];
+    return atom.predicate < rels.size() ? &rels[atom.predicate] : nullptr;
+  };
+  for (const Atom& atom : cq.atoms) {
+    if (relation(atom) == nullptr) return {};  // a predicate without facts
+  }
+
+  // Partial answers over the components joined so far.
+  std::vector<Binding> partial = {Binding{}};
+  std::vector<bool> placed(cq.atoms.size(), false);
+  for (size_t seed = 0; seed < cq.atoms.size(); ++seed) {
+    if (placed[seed]) continue;
+    // Flood-fill the connected component of atom `seed`.
+    std::vector<size_t> pending = {seed};
+    placed[seed] = true;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      for (size_t j = 0; j < cq.atoms.size(); ++j) {
+        if (!placed[j] && shares_var(cq.atoms[pending[i]], cq.atoms[j])) {
+          placed[j] = true;
+          pending.push_back(j);
+        }
+      }
+    }
+    std::vector<std::string> vars;  // the component's answer variables
+    for (size_t i : pending) {
+      for (const auto& t : cq.atoms[i].args) {
+        if (t.IsVar() && answer_vars.count(t.name) != 0 &&
+            std::find(vars.begin(), vars.end(), t.name) == vars.end()) {
+          vars.push_back(t.name);
+        }
+      }
+    }
+
+    // Backtracking join over the component, projected onto `vars`.
+    std::set<std::vector<std::string>> found;
+    Binding binding;
+    auto join = [&](auto&& self) -> void {
+      if (pending.empty()) {
+        std::vector<std::string> tuple;
+        for (const auto& v : vars) tuple.push_back(binding.at(v));
+        found.insert(std::move(tuple));
+        return;
+      }
+      auto bound_args = [&](size_t i) {
+        size_t n = 0;
+        for (const auto& t : cq.atoms[i].args) {
+          n += !t.IsVar() || binding.count(t.name) != 0;
+        }
+        return n;
+      };
+      auto next = std::max_element(
+          pending.begin(), pending.end(),
+          [&](size_t x, size_t y) { return bound_args(x) < bound_args(y); });
+      const size_t at = next - pending.begin();
+      const size_t ai = *next;
+      pending.erase(next);
+      const Atom& atom = cq.atoms[ai];
+      const Relation& rel = *relation(atom);
+      const std::vector<size_t>* candidates = nullptr;  // null = every row
+      for (size_t k = 0; k < atom.args.size(); ++k) {
+        const std::string* key = &atom.args[k].name;
+        if (atom.args[k].IsVar()) {
+          auto bound = binding.find(*key);
+          if (bound == binding.end()) continue;
+          key = &bound->second;
+        }
+        auto it = rel.by_arg[k].find(*key);
+        static const std::vector<size_t> kNone;
+        candidates = it == rel.by_arg[k].end() ? &kNone : &it->second;
+        break;
+      }
+      auto try_row = [&](const std::array<std::string, 2>& row) {
+        if (vars.empty() && !found.empty()) return;  // one match suffices
+        std::vector<std::string> bound_here;
+        bool ok = true;
+        for (size_t k = 0; ok && k < atom.args.size(); ++k) {
+          ok = Bind(atom.args[k], row[k], answer_vars, named_, &binding,
+                    &bound_here);
+        }
+        if (ok) self(self);
+        for (const auto& var : bound_here) binding.erase(var);
+      };
+      if (candidates != nullptr) {
+        for (size_t pos : *candidates) try_row(rel.rows[pos]);
+      } else {
+        for (const auto& row : rel.rows) try_row(row);
+      }
+      pending.insert(pending.begin() + static_cast<ptrdiff_t>(at), ai);
+    };
+    join(join);
+    if (found.empty()) return {};
+
+    std::vector<Binding> crossed;
+    for (const auto& p : partial) {
+      for (const auto& tuple : found) {
+        Binding b = p;
+        for (size_t k = 0; k < vars.size(); ++k) b[vars[k]] = tuple[k];
+        crossed.push_back(std::move(b));
+      }
+    }
+    partial = std::move(crossed);
+  }
+
+  std::set<std::vector<std::string>> out;
+  for (const auto& p : partial) {
+    std::vector<std::string> tuple;
+    tuple.reserve(cq.head_vars.size());
+    for (const auto& head : cq.head_vars) {
+      const std::string* constant = cq.HeadBinding(head);
+      tuple.push_back(constant != nullptr ? *constant : p.at(head));
+    }
+    out.insert(std::move(tuple));
+  }
   return std::vector<std::vector<std::string>>(out.begin(), out.end());
 }
 

@@ -1,8 +1,10 @@
 #ifndef OLITE_TESTKIT_CHASE_ORACLE_H_
 #define OLITE_TESTKIT_CHASE_ORACLE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -29,6 +31,12 @@ namespace olite::testkit {
 /// atoms: any homomorphism then stays within the generated prefix of the
 /// canonical model. `benchgen::GenerateWorkload` guarantees the anchoring
 /// invariant; pick `max_depth` >= max atom count + 1.
+///
+/// Each connected component of the query body is joined on its own (the
+/// atom with the most bound arguments next, through per-argument indexes)
+/// and projected onto its answer variables before the components are
+/// crossed, so independent components cost the sum of their joins rather
+/// than the product of their matches.
 class ChaseOracle {
  public:
   ChaseOracle(const dllite::TBox& tbox, const dllite::Vocabulary& vocab,
@@ -44,13 +52,19 @@ class ChaseOracle {
   size_t num_facts() const { return num_facts_; }
 
  private:
-  // Saturated ground facts with arguments as strings (individual names and
-  // attribute values verbatim; labelled nulls get "_:" names). String-level
-  // matching mirrors `query::EvaluateOverABox` exactly, so the two answer
-  // paths share equality semantics.
-  std::vector<std::vector<std::array<std::string, 1>>> concept_facts_;
-  std::vector<std::vector<std::array<std::string, 2>>> role_facts_;
-  std::vector<std::vector<std::array<std::string, 2>>> attr_facts_;
+  /// The saturated facts of one predicate (unary relations leave the
+  /// second column empty) with per-argument indexes: term -> positions in
+  /// `rows`.
+  struct Relation {
+    std::vector<std::array<std::string, 2>> rows;
+    std::unordered_map<std::string, std::vector<size_t>> by_arg[2];
+  };
+
+  // Arguments are strings (individual names and attribute values verbatim;
+  // labelled nulls get "_:" names). String-level matching mirrors
+  // `query::EvaluateOverABox` exactly, so the two answer paths share
+  // equality semantics. Indexed by `query::Atom::Kind`, then predicate.
+  std::vector<Relation> relations_[3];
   /// Names a head variable may be bound to: named individuals and asserted
   /// attribute values (everything except labelled nulls).
   std::unordered_set<std::string> named_;

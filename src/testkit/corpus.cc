@@ -134,14 +134,12 @@ benchgen::Workload ToWorkload(const ConformanceCase& c) {
   return w;
 }
 
-std::vector<std::string> RunCase(const ConformanceCase& c, bool run_tableau) {
+CaseResult RunCase(const ConformanceCase& c, bool run_tableau) {
   benchgen::Workload w = ToWorkload(c);
   ClassifierDiffOptions copts;
   copts.run_tableau = run_tableau;
   copts.mutation = c.mutation;
-  std::vector<std::string> diffs = CompareClassifiers(w.ontology, copts);
-  for (auto& d : CompareAnswerPaths(w)) diffs.push_back(std::move(d));
-  return diffs;
+  return {CompareClassifiers(w.ontology, copts), CompareAnswers(w)};
 }
 
 std::string SerializeCase(const ConformanceCase& c) {

@@ -38,10 +38,17 @@ ConformanceCase CaseFromWorkload(const benchgen::Workload& w);
 /// Re-materialises the case into a Workload for the differential drivers.
 benchgen::Workload ToWorkload(const ConformanceCase& c);
 
-/// Runs both differential drivers (classification and answering) on the
-/// case, honouring its recorded mutation. Returns all discrepancies.
-std::vector<std::string> RunCase(const ConformanceCase& c,
-                                 bool run_tableau = true);
+/// What replaying a case found, split by checker: a recorded mutation
+/// corrupts only a classifier, so the answer legs must agree on every case.
+struct CaseResult {
+  std::vector<std::string> classifier_diffs;  ///< CompareClassifiers
+  std::vector<std::string> answer_diffs;      ///< CompareAnswers
+  bool operator==(const CaseResult&) const = default;
+};
+
+/// Runs the classifier and answer checkers on the case, honouring its
+/// recorded mutation.
+CaseResult RunCase(const ConformanceCase& c, bool run_tableau = true);
 
 /// Serialises a case into the line-oriented corpus format:
 ///

@@ -159,8 +159,8 @@ std::vector<std::string> CompareClassifiers(
   return diffs;
 }
 
-std::vector<std::string> CompareAnswerPaths(const benchgen::Workload& w,
-                                            const AnswerDiffOptions& options) {
+std::vector<std::string> CompareAnswers(const benchgen::Workload& w,
+                                        const AnswerCheckOptions& options) {
   std::vector<std::string> diffs;
   const Vocabulary& vocab = w.ontology.vocab();
 
@@ -172,220 +172,97 @@ std::vector<std::string> CompareAnswerPaths(const benchgen::Workload& w,
                     system.status().ToString());
     return diffs;
   }
-  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
+  size_t max_atoms = 0;
+  for (const auto& cq : w.queries) {
+    max_atoms = std::max(max_atoms, cq.atoms.size());
+  }
+  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox,
+                    static_cast<uint32_t>(max_atoms) + 1);
+  AnswerTally unused;
+  AnswerTally& tally = options.tally != nullptr ? *options.tally : unused;
 
   for (const auto& cq : w.queries) {
     const std::string label = cq.ToString(vocab);
-
     auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
+    const TupleSet want(chase_rows.begin(), chase_rows.end());
 
-    obda::AnswerStats cold_stats;
-    auto sql = (*system)->Answer(cq, &cold_stats);
-    if (!sql.ok()) {
-      diffs.push_back(label + " [obda]: " + sql.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(sql->begin(), sql->end()),
-                       "obda-sql", &diffs);
-
-      // Cached-vs-uncached pair: replaying the query must hit the plan
-      // cache (the first pass ran unbudgeted, so its plan was exact and
-      // stored) and both the hot answers and a forced cold-path re-answer
-      // must match the oracle bit for bit.
-      obda::AnswerStats hot_stats;
-      auto hot = (*system)->Answer(cq, &hot_stats);
-      if (!hot.ok()) {
-        diffs.push_back(label + " [obda-cached]: " + hot.status().ToString());
-      } else {
-        CompareTupleSets(label, want, TupleSet(hot->begin(), hot->end()),
-                         "obda-cached", &diffs);
-        if (cold_stats.cache.stored && !hot_stats.cache.hit) {
-          diffs.push_back(label +
-                          " [obda-cached]: stored plan was not reused");
-        }
-        if (hot_stats.cache.hit && hot_stats.rewrite.iterations != 0) {
-          diffs.push_back(label +
-                          " [obda-cached]: cache hit still rewrote the "
-                          "query");
-        }
-      }
-      obda::AnswerOptions bypass;
-      bypass.bypass_cache = true;
-      auto uncached = (*system)->Answer(cq, bypass);
-      if (!uncached.ok()) {
-        diffs.push_back(label + " [obda-uncached]: " +
-                        uncached.status().ToString());
-      } else {
-        CompareTupleSets(label, want,
-                         TupleSet(uncached->begin(), uncached->end()),
-                         "obda-uncached", &diffs);
-      }
-    }
-
-    auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
-                                        query::RewriteMode::kPerfectRef);
-    if (!direct.ok()) {
-      diffs.push_back(label + " [abox]: " + direct.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
-                       "abox-eval", &diffs);
-    }
-  }
-  return diffs;
-}
-
-std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
-                                           const EvaluatorDiffOptions& options) {
-  std::vector<std::string> diffs;
-  const Vocabulary& vocab = w.ontology.vocab();
-
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
-    return diffs;
-  }
-  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
-
-  for (const auto& cq : w.queries) {
-    const std::string label = cq.ToString(vocab);
-
-    auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
-
-    auto run = [&](const obda::AnswerOptions& opts, const std::string& tag) {
-      auto rows = (*system)->Answer(cq, opts);
+    // One leg: its rows must equal the oracle's. Returns them, or nullopt
+    // (with the failure recorded) when the leg errored.
+    auto leg = [&](const std::string& tag,
+                   const Result<std::vector<std::vector<std::string>>>& rows)
+        -> std::optional<TupleSet> {
+      ++tally.legs;
       if (!rows.ok()) {
-        diffs.push_back(label + " [" + tag + "]: " +
-                        rows.status().ToString());
-        return;
+        diffs.push_back(label + " [" + tag + "]: " + rows.status().ToString());
+        return std::nullopt;
       }
-      CompareTupleSets(label, want, TupleSet(rows->begin(), rows->end()), tag,
-                       &diffs);
+      TupleSet got(rows->begin(), rows->end());
+      CompareTupleSets(label, want, got, tag, &diffs);
+      return got;
+    };
+    auto answer = [&](const std::string& tag, const obda::AnswerOptions& opts,
+                      obda::AnswerStats* stats = nullptr) {
+      return leg(tag, (*system)->Answer(cq, opts, stats));
     };
 
-    // Cold columnar compile (bypassing the cache), then a hot pass that
-    // exercises the cached plan's precompiled programs.
-    obda::AnswerOptions columnar;
-    columnar.bypass_cache = true;
-    run(columnar, "columnar");
-    columnar.bypass_cache = false;
-    run(columnar, "columnar-cached");
-
-    // The reference evaluator over the same unfolded SQL.
-    auto reference = ReferenceAnswers(*(*system)->compiled(), cq);
-    if (!reference.ok()) {
-      diffs.push_back(label + " [reference]: " +
-                      reference.status().ToString());
-    } else {
-      CompareTupleSets(label, want,
-                       TupleSet(reference->begin(), reference->end()),
-                       "reference", &diffs);
+    // Cold compile, then a replay that must hit the plan the first pass
+    // stored (it ran unbudgeted, so its plan was exact) without rewriting.
+    obda::AnswerStats cold_stats, hot_stats;
+    answer("obda-sql", {}, &cold_stats);
+    if (answer("obda-cached", {}, &hot_stats)) {
+      if (cold_stats.cache.stored && !hot_stats.cache.hit) {
+        diffs.push_back(label + " [obda-cached]: stored plan was not reused");
+      }
+      if (hot_stats.cache.hit && hot_stats.rewrite.iterations != 0) {
+        diffs.push_back(label +
+                        " [obda-cached]: cache hit still rewrote the query");
+      }
     }
 
-    auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
-                                        query::RewriteMode::kPerfectRef);
-    if (!direct.ok()) {
-      diffs.push_back(label + " [abox]: " + direct.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
-                       "abox-eval", &diffs);
+    // Pruned and unpruned cold compiles: these legs check each path's
+    // compile, not a cached replay.
+    obda::AnswerOptions pruned_opts;
+    pruned_opts.bypass_cache = true;
+    obda::AnswerStats pruned_stats;
+    auto pruned = answer("obda-uncached", pruned_opts, &pruned_stats);
+    obda::AnswerOptions unpruned_opts = pruned_opts;
+    unpruned_opts.disable_constraint_pruning = true;
+    obda::AnswerStats unpruned_stats;
+    auto unpruned = answer("unpruned", unpruned_opts, &unpruned_stats);
+    if (pruned && unpruned) {
+      CompareTupleSets(label, *unpruned, *pruned, "pruned-vs-unpruned",
+                       &diffs);
+      // Pruning must never *grow* the compiled union, and the unpruned
+      // pass must not report pruning work.
+      if (pruned_stats.rewrite.final_disjuncts >
+          unpruned_stats.rewrite.final_disjuncts) {
+        diffs.push_back(
+            label + ": pruned union has more disjuncts (" +
+            std::to_string(pruned_stats.rewrite.final_disjuncts) +
+            ") than unpruned (" +
+            std::to_string(unpruned_stats.rewrite.final_disjuncts) + ")");
+      }
+      if (unpruned_stats.rewrite.pruned_disjuncts != 0 ||
+          unpruned_stats.rewrite.pruned_unfoldings != 0) {
+        diffs.push_back(label +
+                        ": disable_constraint_pruning still reported pruning");
+      }
     }
+    tally.pruned += pruned_stats.rewrite.pruned_disjuncts +
+                    pruned_stats.rewrite.pruned_unfoldings;
 
-    // Metamorphic sweep: a randomised physical join order must not change
+    leg("reference", ReferenceAnswers(*(*system)->compiled(), cq));
+    leg("abox-eval",
+        query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
+                              query::RewriteMode::kPerfectRef));
+
+    // Metamorphic legs: a randomised physical join order must not change
     // the answer set.
     for (uint64_t seed : options.join_order_seeds) {
       obda::AnswerOptions shuffled;
       shuffled.bypass_cache = true;
       shuffled.join_order_seed = seed;
-      run(shuffled, "columnar-seed" + std::to_string(seed));
-    }
-  }
-  return diffs;
-}
-
-std::vector<std::string> CheckConstraintPruning(
-    const benchgen::Workload& w, const ConstraintPruningOptions& options) {
-  std::vector<std::string> diffs;
-  const Vocabulary& vocab = w.ontology.vocab();
-
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
-    return diffs;
-  }
-  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
-
-  for (const auto& cq : w.queries) {
-    const std::string label = cq.ToString(vocab);
-
-    auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
-
-    // Both passes bypass the plan cache: pruned and unpruned plans are
-    // keyed apart, but this harness exists to compare the *cold compile*
-    // of each path, not a cached replay.
-    obda::AnswerOptions pruned_opts;
-    pruned_opts.bypass_cache = true;
-    obda::AnswerStats pruned_stats;
-    auto pruned = (*system)->Answer(cq, pruned_opts, &pruned_stats);
-    if (!pruned.ok()) {
-      diffs.push_back(label + " [pruned]: " + pruned.status().ToString());
-      continue;
-    }
-    CompareTupleSets(label, want, TupleSet(pruned->begin(), pruned->end()),
-                     "pruned", &diffs);
-
-    obda::AnswerOptions unpruned_opts;
-    unpruned_opts.bypass_cache = true;
-    unpruned_opts.disable_constraint_pruning = true;
-    obda::AnswerStats unpruned_stats;
-    auto unpruned = (*system)->Answer(cq, unpruned_opts, &unpruned_stats);
-    if (!unpruned.ok()) {
-      diffs.push_back(label + " [unpruned]: " +
-                      unpruned.status().ToString());
-      continue;
-    }
-    CompareTupleSets(label, want,
-                     TupleSet(unpruned->begin(), unpruned->end()),
-                     "unpruned", &diffs);
-    CompareTupleSets(label, TupleSet(unpruned->begin(), unpruned->end()),
-                     TupleSet(pruned->begin(), pruned->end()),
-                     "pruned-vs-unpruned", &diffs);
-
-    // Pruning must never *grow* the compiled union, and the unpruned pass
-    // must not report pruning work.
-    if (pruned_stats.rewrite.final_disjuncts >
-        unpruned_stats.rewrite.final_disjuncts) {
-      diffs.push_back(label + ": pruned union has more disjuncts (" +
-                      std::to_string(pruned_stats.rewrite.final_disjuncts) +
-                      ") than unpruned (" +
-                      std::to_string(unpruned_stats.rewrite.final_disjuncts) +
-                      ")");
-    }
-    if (unpruned_stats.rewrite.pruned_disjuncts != 0 ||
-        unpruned_stats.rewrite.pruned_unfoldings != 0) {
-      diffs.push_back(label +
-                      ": disable_constraint_pruning still reported pruning");
-    }
-
-    auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
-                                        query::RewriteMode::kPerfectRef);
-    if (!direct.ok()) {
-      diffs.push_back(label + " [abox]: " + direct.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
-                       "abox-eval", &diffs);
-    }
-
-    if (options.pruned_accumulator) {
-      *options.pruned_accumulator += pruned_stats.rewrite.pruned_disjuncts +
-                                     pruned_stats.rewrite.pruned_unfoldings;
+      answer("columnar-seed" + std::to_string(seed), shuffled);
     }
   }
   return diffs;
@@ -1018,8 +895,15 @@ std::vector<std::string> CheckDeltaCompile(const benchgen::Workload& w,
         auto got_base = engine_base.Answer(cq, aopts);
         auto got_next = engine_next.Answer(cq, aopts);
         if (!got_base.ok() || !got_next.ok()) {
-          diffs.push_back(tag + ": " + cq.ToString(vocab) +
-                          ": unchanged-predicate answering failed");
+          // Same caps on both sides (see CompareCompiled): an identical
+          // exhaustion on both is agreement; any other pair of outcomes
+          // diverges.
+          if (got_base.status().ToString() != got_next.status().ToString()) {
+            diffs.push_back(tag + ": " + cq.ToString(vocab) +
+                            ": unchanged-predicate outcome diverges: base=" +
+                            got_base.status().ToString() +
+                            " refresh=" + got_next.status().ToString());
+          }
           continue;
         }
         CompareTupleSets(

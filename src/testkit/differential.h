@@ -44,64 +44,48 @@ struct ClassifierDiffOptions {
 std::vector<std::string> CompareClassifiers(
     const dllite::Ontology& onto, const ClassifierDiffOptions& options = {});
 
-/// Options for `CompareAnswerPaths`.
-struct AnswerDiffOptions {
-  /// Null-generation cutoff of the chase oracle; must exceed the largest
-  /// query component's atom count (see testkit/chase_oracle.h).
-  uint32_t chase_depth = 8;
+/// Counters `CompareAnswers` adds to (see `AnswerCheckOptions::tally`).
+struct AnswerTally {
+  /// Answer legs compared against the chase oracle, summed over queries.
+  uint64_t legs = 0;
+  /// Pruning work of the constraint-pruned passes: suppressed disjuncts
+  /// plus dropped unfoldings. Pruning sweeps assert it ends non-zero — a
+  /// constraint-rich sweep that never pruned anything tests nothing.
+  uint64_t pruned = 0;
 };
 
-/// Differential query answering over every query of `w`: the full OBDA
-/// pipeline (classified rewrite → unfold → SQL on the sources), direct
-/// evaluation (PerfectRef rewrite → materialised ABox) and the chase
-/// oracle must produce identical certain-answer sets. Returns discrepancy
-/// descriptions; empty = agreement.
-std::vector<std::string> CompareAnswerPaths(
-    const benchgen::Workload& w, const AnswerDiffOptions& options = {});
-
-/// Options for `CompareEvaluators`.
-struct EvaluatorDiffOptions {
-  /// Null-generation cutoff of the chase oracle (see
-  /// testkit/chase_oracle.h).
-  uint32_t chase_depth = 8;
-  /// Seeds for the join-order metamorphic sweep: under each seed the
+/// Options for `CompareAnswers`.
+struct AnswerCheckOptions {
+  /// Seeds of the join-order metamorphic legs: under each seed the
   /// columnar evaluator runs every block under a random join order, which
-  /// must not change any answer. Empty = skip the sweep.
+  /// must not change any answer. Empty = no join-order legs.
   std::vector<uint64_t> join_order_seeds = {1, 7, 0xBADCAFE};
+  /// When set, accumulates the counters above across calls.
+  AnswerTally* tally = nullptr;
 };
 
-/// Differential *evaluator* conformance over every query of `w`: the
-/// columnar evaluator (cold-compiled and plan-cache-hot) and the reference
-/// evaluator (testkit/reference_eval.h, over the same unfolded SQL) must
-/// produce identical certain-answer sets, refereed by the chase oracle and
-/// by direct ABox evaluation; a randomised join-order sweep then checks
-/// that physical join order never changes answers.
-/// Returns discrepancy descriptions; empty = agreement.
-std::vector<std::string> CompareEvaluators(
-    const benchgen::Workload& w, const EvaluatorDiffOptions& options = {});
-
-/// Options for `CheckConstraintPruning`.
-struct ConstraintPruningOptions {
-  /// Null-generation cutoff of the chase oracle (see
-  /// testkit/chase_oracle.h).
-  uint32_t chase_depth = 8;
-  /// When set, accumulates the pruning work observed (suppressed disjuncts
-  /// plus dropped unfoldings) across every query checked. Sweeps assert it
-  /// is non-zero at the end — a "pruning sweep" whose constraint-rich
-  /// workloads never actually pruned anything tests nothing.
-  uint64_t* pruned_accumulator = nullptr;
-};
-
-/// Differential *pruning* conformance over every query of `w`: the default
-/// (constraint-pruned) pipeline and the pipeline with
-/// `disable_constraint_pruning` must produce identical certain-answer
-/// sets, both refereed by the chase oracle and by direct ABox evaluation;
-/// the pruned compile must never produce a *larger* union than the
-/// unpruned one. Returns discrepancy descriptions; empty = agreement.
-/// Shrinkable: wrap a failing (config, seed) in a ConformanceCase and
-/// ddmin with this checker as the predicate.
-std::vector<std::string> CheckConstraintPruning(
-    const benchgen::Workload& w, const ConstraintPruningOptions& options = {});
+/// Differential certain-answer conformance over every query of `w`. One
+/// `ObdaSystem` and one `ChaseOracle` serve the whole workload; the chase
+/// depth is the largest query atom count + 1, the bound under which the
+/// oracle is complete (testkit/chase_oracle.h). Per query, the oracle's
+/// answer set is computed once and every leg must reproduce it exactly:
+///   - `obda-sql`: the full pipeline (classified rewrite → unfold → SQL),
+///     first call, so a cold compile;
+///   - `obda-cached`: the replay, which must hit the stored plan without
+///     rewriting again;
+///   - `obda-uncached`: a `bypass_cache` cold compile (the pruned pass);
+///   - `unpruned`: the same with `disable_constraint_pruning`; it must
+///     equal the pruned answers, report no pruning, and compile a union at
+///     least as large as the pruned one;
+///   - `reference`: the testkit reference evaluator over the same
+///     unfolded SQL (testkit/reference_eval.h);
+///   - `abox-eval`: PerfectRef rewriting over the materialised ABox;
+///   - `columnar-seed<N>`: one cold compile per join-order seed.
+/// Returns discrepancy descriptions; empty = agreement. Shrinkable: wrap a
+/// failing workload in a ConformanceCase and ddmin with this checker over
+/// `ToWorkload(candidate)` as the predicate.
+std::vector<std::string> CompareAnswers(
+    const benchgen::Workload& w, const AnswerCheckOptions& options = {});
 
 // -- metamorphic properties -------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "core/classifier.h"
 #include "owl/from_dllite.h"
 #include "reasoner/tableau_classifier.h"
+#include "testkit/sweep.h"
 
 namespace olite::benchgen {
 namespace {
@@ -245,6 +246,25 @@ TEST(DeltaSequenceTest, EveryDeltaChainsAndKeepsDlLiteA) {
       // against the untouched vocabulary-sized predicates.
       EXPECT_GE(mappings.size(), 1u);
     }
+  }
+}
+
+// Seed 50176 of the delta-compilation sweep: one delta re-targeted a
+// mapping assertion and later picked that re-targeted copy for removal,
+// which `ApplyMappingDelta` rejects (removals match the base set before
+// additions apply), so generating the sequence aborted.
+TEST(DeltaSequenceTest, DeltaSweepSeed50176AppliesInOrder) {
+  const uint64_t seed = 50176;
+  Workload w = GenerateWorkload(testkit::SweepConfig(seed));
+  auto deltas =
+      GenerateDeltaSequence(w, testkit::DeltaSweepOptions(seed).sequence);
+  ASSERT_EQ(deltas.size(), 6u);
+  mapping::MappingSet mappings = w.mappings;
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    auto next = obda::ApplyMappingDelta(mappings, deltas[i]);
+    ASSERT_TRUE(next.ok()) << "delta " << i << ": "
+                           << next.status().ToString();
+    mappings = *std::move(next);
   }
 }
 

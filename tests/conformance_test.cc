@@ -1,16 +1,20 @@
-// The conformance harness end-to-end (src/testkit): a seeded differential
-// sweep (three classifiers refereed by the brute-force oracle; three
-// answer paths refereed by the chase oracle), metamorphic properties,
-// budget/fault monotonicity, delta-debugging shrinking of injected
-// discrepancies, and replay of the checked-in tests/corpus/ cases.
+// The conformance harness end-to-end (src/testkit): seeded differential
+// sweeps (three classifiers refereed by the brute-force oracle; every
+// answer leg of testkit::CompareAnswers refereed by the chase oracle, on
+// plain and constraint-rich workloads), hot-swap linearizability and delta
+// compilation sweeps, metamorphic properties, budget/fault monotonicity,
+// delta-debugging shrinking of injected discrepancies, and replay of the
+// checked-in tests/corpus/ cases. Every seeded sweep runs through
+// testkit::RunSweep, which shrinks a failing seed to a corpus-format repro.
 //
-// Sweep size and seed window are overridable without a rebuild:
+// The seed window of every sweep is overridable without a rebuild:
 //   OLITE_CONFORMANCE_SEEDS      number of seeds   (default 200)
 //   OLITE_CONFORMANCE_SEED_BASE  first seed        (default 0)
 // The nightly CI job uses these to sweep fresh seeds every run.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +34,7 @@
 #include "testkit/differential.h"
 #include "testkit/shrinker.h"
 #include "testkit/subsumption_oracle.h"
+#include "testkit/sweep.h"
 
 #ifndef OLITE_CORPUS_DIR
 #define OLITE_CORPUS_DIR "tests/corpus"
@@ -48,33 +53,32 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   return std::strtoull(v, nullptr, 10);
 }
 
-/// Seed-varied small workloads: big enough to exercise joins, shared
-/// tables, unmapped predicates and existential axioms; small enough that
-/// 200 of them (plus a tableau run every 8th) stay well inside tier-1.
-WorkloadConfig SweepConfig(uint64_t seed) {
-  WorkloadConfig cfg;
-  cfg.ontology.name = "conformance";
-  cfg.ontology.seed = 2 * seed + 1;
-  cfg.ontology.num_concepts = 12 + static_cast<uint32_t>(seed % 14);
-  cfg.ontology.num_roles = 3 + static_cast<uint32_t>(seed % 3);
-  cfg.ontology.num_attributes = static_cast<uint32_t>(seed % 2);
-  cfg.ontology.num_roots = 2;
-  cfg.ontology.avg_branching = 2.0 + static_cast<double>(seed % 3);
-  cfg.ontology.multi_parent_prob = 0.2;
-  cfg.ontology.role_hierarchy_fraction = 0.5;
-  cfg.ontology.domain_range_fraction = 0.3;
-  cfg.ontology.qualified_exists_per_concept = 0.2;
-  cfg.ontology.unqualified_exists_per_concept = 0.2;
-  cfg.ontology.disjointness_fraction = 0.2;
-  cfg.ontology.role_disjointness_fraction = 0.1;
-  cfg.seed = seed + 1000;
-  cfg.num_individuals = 16;
-  cfg.num_concept_assertions = 24;
-  cfg.num_role_assertions = 24;
-  cfg.num_attribute_assertions = (seed % 2 == 1) ? 6 : 0;
-  cfg.num_queries = 3;
-  cfg.max_atoms_per_query = 3;
-  return cfg;
+using testkit::SweepConfig;
+
+/// Runs `check` over the seed window through the shared sweep loop and
+/// fails with the shrunk corpus-format repro of the first failing seed.
+void ExpectSweepAgrees(const std::string& name,
+                       WorkloadConfig (*config)(uint64_t),
+                       const testkit::SeedCheck& check) {
+  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
+  const uint64_t count = EnvOr("OLITE_CONFORMANCE_SEEDS", 200);
+  for (const auto& f : testkit::RunSweep(base, count, config, check)) {
+    ADD_FAILURE() << name << ": " << f.Report(name);
+  }
+}
+
+/// The answer legs of a sweep seed: two fixed join-order seeds plus one
+/// varying with the sweep seed keep the join-order legs cheap but fresh.
+testkit::AnswerCheckOptions SweepAnswerOptions(uint64_t seed,
+                                               testkit::AnswerTally* tally) {
+  testkit::AnswerCheckOptions opts;
+  opts.join_order_seeds = {1, 0xBADCAFE, seed + 17};
+  opts.tally = tally;
+  return opts;
+}
+
+void Append(std::vector<std::string> more, std::vector<std::string>* diffs) {
+  for (auto& d : more) diffs->push_back(std::move(d));
 }
 
 std::string JoinDiffs(const std::vector<std::string>& diffs) {
@@ -210,182 +214,121 @@ TEST(ChaseOracle, AgreesWithRewritingOnHandExample) {
 }
 
 // ---------------------------------------------------------------------------
-// The tier-1 differential sweep: >= 200 seeded workloads, all classifier
-// pairs and both answer-path comparisons, plus metamorphic properties.
+// The tier-1 differential sweeps: >= 200 seeded workloads each, all
+// classifier pairs and every answer leg, plus metamorphic properties.
 // ---------------------------------------------------------------------------
 
+// Classifier pairs and the metamorphic properties; the answer legs of the
+// same seeds run in EvaluatorConformance below.
 TEST(ConformanceSweep, DifferentialAndMetamorphicAgreement) {
-  const uint64_t num_seeds = EnvOr("OLITE_CONFORMANCE_SEEDS", 200);
-  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
-  for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
-    Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-
+  ExpectSweepAgrees("sweep", SweepConfig, [](const Workload& w, uint64_t seed) {
     testkit::ClassifierDiffOptions copts;
     copts.run_tableau = (seed % 8 == 0);  // tableau pairs, every 8th seed
     auto diffs = testkit::CompareClassifiers(w.ontology, copts);
-    ASSERT_TRUE(diffs.empty())
-        << "classifier discrepancies at seed " << seed << JoinDiffs(diffs);
-
-    testkit::AnswerDiffOptions aopts;
-    aopts.chase_depth = SweepConfig(seed).max_atoms_per_query + 1;
-    diffs = testkit::CompareAnswerPaths(w, aopts);
-    ASSERT_TRUE(diffs.empty())
-        << "answer discrepancies at seed " << seed << JoinDiffs(diffs);
-
-    diffs = testkit::CheckPiMonotonicity(w.ontology, seed);
-    ASSERT_TRUE(diffs.empty())
-        << "PI monotonicity violated at seed " << seed << JoinDiffs(diffs);
-
-    diffs = testkit::CheckRenamingInvariance(w.ontology, seed);
-    ASSERT_TRUE(diffs.empty())
-        << "renaming invariance violated at seed " << seed
-        << JoinDiffs(diffs);
-
-    if (seed % 16 == 0) {
-      diffs = testkit::CheckApproxSoundness(w);
-      ASSERT_TRUE(diffs.empty())
-          << "approximation soundness violated at seed " << seed
-          << JoinDiffs(diffs);
-    }
-  }
+    Append(testkit::CheckPiMonotonicity(w.ontology, seed), &diffs);
+    Append(testkit::CheckRenamingInvariance(w.ontology, seed), &diffs);
+    if (seed % 16 == 0) Append(testkit::CheckApproxSoundness(w), &diffs);
+    return diffs;
+  });
 }
 
-// ---------------------------------------------------------------------------
-// Constraint-pruning conformance: pruned vs unpruned pipeline vs oracles.
-// ---------------------------------------------------------------------------
-
-/// Constraint-rich variant of the sweep config: redundant duplicate
-/// mappings and source-materialised inclusions make the pruning oracle
-/// fire on most seeds (a sweep that never prunes anything tests nothing).
-WorkloadConfig PruningSweepConfig(uint64_t seed) {
-  WorkloadConfig cfg = SweepConfig(seed);
-  cfg.redundant_mapping_fraction = 0.5;
-  cfg.source_inclusion_fraction = 0.5;
-  return cfg;
+// Every answer leg on the plain sweep: the columnar evaluator (cold,
+// plan-cache-hot, cache-bypassing, unpruned, join-order shuffles) must
+// agree with the row-at-a-time reference evaluator over the same unfolded
+// SQL, with direct ABox evaluation, and with the chase oracle.
+TEST(EvaluatorConformance, ColumnarAgreesWithNestedLoopAndOracles) {
+  ExpectSweepAgrees("evaluator", SweepConfig,
+                    [](const Workload& w, uint64_t seed) {
+                      return testkit::CompareAnswers(
+                          w, SweepAnswerOptions(seed, nullptr));
+                    });
 }
 
-// Differential pruning sweep: on >= 200 constraint-rich seeded workloads,
-// answering with constraint-aware pruning (the default) must agree with
-// the unpruned pipeline and with the chase/ABox oracles on every query.
-// A failing seed is ddmin-shrunk to a minimal replayable repro and
-// reported in tests/corpus format, ready to be checked in.
+// The same answer legs on constraint-rich workloads (redundant mappings,
+// source-materialised inclusions), where constraint pruning fires on most
+// seeds: pruned ≡ unpruned ≡ reference ≡ ABox ≡ chase oracle.
 TEST(ConformanceSweep, ConstraintPruningAgreesWithOracles) {
-  const uint64_t num_seeds = EnvOr("OLITE_PRUNING_CONFORMANCE_SEEDS", 200);
-  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
-  uint64_t pruned_total = 0;
-  for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
-    Workload w = benchgen::GenerateWorkload(PruningSweepConfig(seed));
-    testkit::ConstraintPruningOptions opts;
-    opts.chase_depth = PruningSweepConfig(seed).max_atoms_per_query + 1;
-    opts.pruned_accumulator = &pruned_total;
-    auto diffs = testkit::CheckConstraintPruning(w, opts);
-    if (!diffs.empty()) {
-      // Shrink before failing: the report carries a minimal corpus-format
-      // repro instead of a 20-concept workload.
-      ConformanceCase c = testkit::CaseFromWorkload(w);
-      testkit::ConstraintPruningOptions ropts;
-      ropts.chase_depth = opts.chase_depth;
-      auto fails = [&](const ConformanceCase& candidate) {
-        return !testkit::CheckConstraintPruning(
-                    testkit::ToWorkload(candidate), ropts)
-                    .empty();
-      };
-      ConformanceCase shrunk = testkit::Shrink(c, fails);
-      FAIL() << "pruning discrepancies at seed " << seed << JoinDiffs(diffs)
-             << "\nshrunk repro (save as tests/corpus/pruning_seed"
-             << seed << ".case):\n"
-             << testkit::SerializeCase(shrunk);
-    }
-  }
-  EXPECT_GT(pruned_total, 0u)
+  testkit::AnswerTally tally;
+  ExpectSweepAgrees("pruning", testkit::PruningSweepConfig,
+                    [&](const Workload& w, uint64_t seed) {
+                      return testkit::CompareAnswers(
+                          w, SweepAnswerOptions(seed, &tally));
+                    });
+  EXPECT_GT(tally.pruned, 0u)
       << "the constraint-rich sweep never pruned a single disjunct";
 }
 
-// Evaluator conformance: the batched columnar evaluator (cold,
-// plan-cache-hot and under randomised join orders) against the testkit
-// nested-loop reference evaluator over the same unfolded SQL, refereed by
-// the chase oracle and direct ABox evaluation.
-TEST(EvaluatorConformance, ColumnarAgreesWithNestedLoopAndOracles) {
-  const uint64_t num_seeds = EnvOr("OLITE_EVAL_CONFORMANCE_SEEDS", 60);
-  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
-  for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
-    Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-    testkit::EvaluatorDiffOptions opts;
-    opts.chase_depth = SweepConfig(seed).max_atoms_per_query + 1;
-    // Two fixed seeds plus one varying with the sweep seed keep the
-    // join-order metamorphic check cheap but fresh.
-    opts.join_order_seeds = {1, 0xBADCAFE, seed + 17};
-    auto diffs = testkit::CompareEvaluators(w, opts);
-    ASSERT_TRUE(diffs.empty())
-        << "evaluator discrepancies at seed " << seed << JoinDiffs(diffs);
-  }
+// The shared sweep loop itself: a checker that flags one seed of the
+// window (any workload with a concept inclusion) yields exactly that
+// failure, shrunk to a single-axiom corpus repro that still fails.
+TEST(ConformanceSweep, RunSweepShrinksTheFailingSeed) {
+  auto check = [](const Workload& w, uint64_t seed) {
+    std::vector<std::string> diffs;
+    if (seed == 3 && !w.ontology.tbox().concept_inclusions().empty()) {
+      diffs.push_back("planted");
+    }
+    return diffs;
+  };
+  auto failures = testkit::RunSweep(0, 6, SweepConfig, check,
+                                    /*max_failures=*/0);
+  ASSERT_EQ(failures.size(), 1u);
+  const testkit::SweepFailure& f = failures[0];
+  EXPECT_EQ(f.seed, 3u);
+  EXPECT_EQ(f.diffs, std::vector<std::string>{"planted"});
+  EXPECT_TRUE(f.repro.expect_discrepancy);
+  EXPECT_EQ(f.repro.ontology.tbox().concept_inclusions().size(), 1u);
+  EXPECT_GT(f.shrink.iterations, 0u);
+  auto reparsed = testkit::ParseCase(testkit::SerializeCase(f.repro));
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_FALSE(check(testkit::ToWorkload(*reparsed), 3).empty());
+  EXPECT_NE(f.Report("planted").find("tests/corpus/planted_seed3.case"),
+            std::string::npos);
+}
+
+// Seed 60045's third query, q(x0,x1,x4,x3) :- P1(x1,x0), P0(x3,x2),
+// P1(x4,x1), crosses two independent components over a chase with ~15k
+// facts; a join that enumerated the product of all homomorphisms ran for
+// minutes. Every leg must agree, and the check must take seconds.
+TEST(ConformanceSweep, PinnedSeed60045ChaseFinishesInSeconds) {
+  const auto start = std::chrono::steady_clock::now();
+  Workload w = benchgen::GenerateWorkload(SweepConfig(60045));
+  auto diffs = testkit::CompareAnswers(w, SweepAnswerOptions(60045, nullptr));
+  EXPECT_TRUE(diffs.empty()) << JoinDiffs(diffs);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
 }
 
 // Hot-swap serving conformance: while the serving layer churns between
 // the generated snapshot and a perturbed (rows-dropped) copy, every
 // concurrent answer must be exactly one snapshot's oracle answer set —
-// the epoch the call reports — never an error and never a blend. Sweeps
-// >= 200 seeds by default (override with OLITE_SWAP_CONFORMANCE_SEEDS);
-// per-seed work is tiny (2 threads, a few answers, 3 swaps). A failing
-// (workload, seed) pair shrinks like any other checker: wrap it in a
-// ConformanceCase and ddmin with CheckSwapLinearizability over
-// ToWorkload(candidate) as the failure predicate.
+// the epoch the call reports — never an error and never a blend. Per-seed
+// work is tiny (2 threads, a few answers, 3 swaps).
 TEST(ServingConformance, AnswersAreSwapLinearizable) {
-  const uint64_t num_seeds = EnvOr("OLITE_SWAP_CONFORMANCE_SEEDS", 200);
-  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
-  for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
-    Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-    auto diffs = testkit::CheckSwapLinearizability(w, seed);
-    ASSERT_TRUE(diffs.empty())
-        << "swap linearizability violated at seed " << seed
-        << JoinDiffs(diffs);
-  }
+  ExpectSweepAgrees("swap", SweepConfig, [](const Workload& w, uint64_t seed) {
+    return testkit::CheckSwapLinearizability(w, seed);
+  });
 }
 
-// Delta-compilation conformance: on >= 200 seeded workloads, a chain of
-// seeded specification deltas is compiled twice per generation — once by
+// Delta-compilation conformance: a chain of seeded specification deltas
+// (testkit::DeltaSweepOptions) is compiled twice per generation — once by
 // `CompiledOntology::Refresh` building on the previous refreshed snapshot
 // (the serving path) and once from scratch on the identically edited
 // specification — and everything observable must agree: stage
 // fingerprints, subsumer/unsat listings, constraint facts, and every
-// workload query's answers. Every 8th seed plants one oversized delta so
-// the scratch-fallback path is swept too; mode and functionality churn
-// vary with the seed. Override the sweep size with
-// OLITE_DELTA_CONFORMANCE_SEEDS. A failing seed is ddmin-shrunk to a
-// minimal corpus-format repro before the test reports it.
+// workload query's answers.
 TEST(DeltaConformance, RefreshAgreesWithScratchCompile) {
-  const uint64_t num_seeds = EnvOr("OLITE_DELTA_CONFORMANCE_SEEDS", 200);
-  const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
-  for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
-    Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-    testkit::DeltaCompileOptions opts;
-    opts.sequence.seed = seed ^ 0xDE17A5EEDULL;
-    opts.sequence.num_deltas = 6;
-    opts.sequence.functionality_fraction = (seed % 4 == 0) ? 0.15 : 0.0;
-    if (seed % 8 == 3) {
-      // Planted last so the fallback path is swept without every later
-      // generation inheriting (and re-paying for) the densified closure.
-      opts.sequence.large_delta_index = 5;
-      opts.sequence.large_delta_changes = 24;
-    }
-    opts.mode = (seed % 3 == 0) ? query::RewriteMode::kPerfectRef
-                                : query::RewriteMode::kClassified;
-    auto diffs = testkit::CheckDeltaCompile(w, opts);
-    if (!diffs.empty()) {
-      ConformanceCase c = testkit::CaseFromWorkload(w);
-      auto fails = [&](const ConformanceCase& candidate) {
-        return !testkit::CheckDeltaCompile(testkit::ToWorkload(candidate),
-                                           opts)
-                    .empty();
-      };
-      ConformanceCase shrunk = testkit::Shrink(c, fails);
-      FAIL() << "delta-compile discrepancies at seed " << seed
-             << JoinDiffs(diffs)
-             << "\nshrunk repro (save as tests/corpus/delta_seed" << seed
-             << ".case):\n"
-             << testkit::SerializeCase(shrunk);
-    }
-  }
+  ExpectSweepAgrees("delta", SweepConfig, [](const Workload& w, uint64_t seed) {
+    return testkit::CheckDeltaCompile(w, testkit::DeltaSweepOptions(seed));
+  });
+}
+
+// Seed 60050: from the fourth delta on, one query's rewriting exhausts
+// the harness's 2000-iteration cap on the base and on the refreshed
+// snapshot alike; an identical exhaustion on both sides is agreement.
+TEST(DeltaConformance, PinnedSeed60050IdenticalExhaustionAgrees) {
+  Workload w = benchgen::GenerateWorkload(SweepConfig(60050));
+  auto diffs =
+      testkit::CheckDeltaCompile(w, testkit::DeltaSweepOptions(60050));
+  EXPECT_TRUE(diffs.empty()) << JoinDiffs(diffs);
 }
 
 // Satellite: cross-engine agreement on deliberately unsatisfiable
@@ -555,12 +498,17 @@ TEST(Corpus, ReplaysAllCheckedInCases) {
     buffer << in.rdbuf();
     auto c = testkit::ParseCase(buffer.str());
     ASSERT_TRUE(c.ok()) << path << ": " << c.status().ToString();
-    auto diffs = testkit::RunCase(*c, /*run_tableau=*/true);
+    // Mutations corrupt only a classifier, so the answer legs must agree
+    // on every case; the classifiers must disagree exactly when recorded.
+    auto result = testkit::RunCase(*c, /*run_tableau=*/true);
+    EXPECT_TRUE(result.answer_diffs.empty())
+        << path << JoinDiffs(result.answer_diffs);
     if (c->expect_discrepancy) {
-      EXPECT_FALSE(diffs.empty())
+      EXPECT_FALSE(result.classifier_diffs.empty())
           << path << ": recorded discrepancy no longer reproduces";
     } else {
-      EXPECT_TRUE(diffs.empty()) << path << JoinDiffs(diffs);
+      EXPECT_TRUE(result.classifier_diffs.empty())
+          << path << JoinDiffs(result.classifier_diffs);
     }
   }
 }
