@@ -14,7 +14,9 @@
 //        --out=<path>         summary (default BENCH_conformance.json)
 //
 // The JSON output is one object:
-//   {"seeds_checked", "seed_base", "classifier_pairs_compared",
+//   {"seeds_checked", "seed_base", "classifier_pairs_compared"
+//    (testkit::ClassifierTally::pairs), "tableau_timeouts" (scheduled
+//    tableau runs that hit their budget and were not compared),
 //    "answer_pairs_compared" (answer legs checked against the chase
 //    oracle), "discrepancies_found", "shrink_iterations",
 //    "repros": [{"seed", "path", "first_diff"}], "elapsed_ms"}
@@ -70,8 +72,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  uint64_t classifier_pairs = 0;
-  uint64_t answer_pairs = 0;
+  olite::testkit::ClassifierTally classifier_tally;
+  olite::testkit::AnswerTally answer_tally;
   uint64_t discrepancies = 0;
   uint64_t shrink_iterations = 0;
   olite::Stopwatch watch;
@@ -80,22 +82,18 @@ int main(int argc, char** argv) {
   // only the first (full-workload) pass of each seed is counted.
   uint64_t counted_seed = UINT64_MAX;
   auto check = [&](const olite::benchgen::Workload& w, uint64_t seed) {
+    const bool counted = seed != counted_seed;
+    counted_seed = seed;
     olite::testkit::ClassifierDiffOptions copts;
     copts.run_tableau =
         tableau_every != 0 && (seed - seed_base) % tableau_every == 0;
+    if (counted) copts.tally = &classifier_tally;
     std::vector<std::string> diffs =
         olite::testkit::CompareClassifiers(w.ontology, copts);
-    olite::testkit::AnswerTally tally;
     olite::testkit::AnswerCheckOptions aopts;
-    aopts.tally = &tally;
+    if (counted) aopts.tally = &answer_tally;
     for (std::string& d : olite::testkit::CompareAnswers(w, aopts)) {
       diffs.push_back(std::move(d));
-    }
-    if (seed != counted_seed) {
-      counted_seed = seed;
-      // graph/completion/oracle pairwise, plus three more with the tableau.
-      classifier_pairs += copts.run_tableau ? 6 : 3;
-      answer_pairs += tally.legs;
     }
     return diffs;
   };
@@ -125,14 +123,16 @@ int main(int argc, char** argv) {
                "  \"seeds_checked\": %llu,\n"
                "  \"seed_base\": %llu,\n"
                "  \"classifier_pairs_compared\": %llu,\n"
+               "  \"tableau_timeouts\": %llu,\n"
                "  \"answer_pairs_compared\": %llu,\n"
                "  \"discrepancies_found\": %llu,\n"
                "  \"shrink_iterations\": %llu,\n"
                "  \"repros\": [",
                static_cast<unsigned long long>(seeds),
                static_cast<unsigned long long>(seed_base),
-               static_cast<unsigned long long>(classifier_pairs),
-               static_cast<unsigned long long>(answer_pairs),
+               static_cast<unsigned long long>(classifier_tally.pairs),
+               static_cast<unsigned long long>(classifier_tally.tableau_timeouts),
+               static_cast<unsigned long long>(answer_tally.legs),
                static_cast<unsigned long long>(discrepancies),
                static_cast<unsigned long long>(shrink_iterations));
   for (size_t i = 0; i < failures.size(); ++i) {
@@ -150,11 +150,13 @@ int main(int argc, char** argv) {
                "}\n",
                failures.empty() ? "" : "\n  ", elapsed_ms);
   std::fclose(f);
-  std::printf("checked %llu seeds (%llu classifier pairs, %llu answer "
-              "pairs): %llu discrepancies, %zu shrunk repros; wrote %s\n",
+  std::printf("checked %llu seeds (%llu classifier pairs, %llu tableau "
+              "timeouts, %llu answer pairs): %llu discrepancies, %zu shrunk "
+              "repros; wrote %s\n",
               static_cast<unsigned long long>(seeds),
-              static_cast<unsigned long long>(classifier_pairs),
-              static_cast<unsigned long long>(answer_pairs),
+              static_cast<unsigned long long>(classifier_tally.pairs),
+              static_cast<unsigned long long>(classifier_tally.tableau_timeouts),
+              static_cast<unsigned long long>(answer_tally.legs),
               static_cast<unsigned long long>(discrepancies), failures.size(),
               out_path.c_str());
   return discrepancies == 0 ? 0 : 2;

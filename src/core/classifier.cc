@@ -1,7 +1,7 @@
 #include "core/classifier.h"
 
 #include <algorithm>
-#include <optional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,13 +28,6 @@ std::vector<graph::NodeId> ReflexivePredecessors(
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
                                const graph::TransitiveClosure& forward,
                                const graph::TransitiveClosure& reverse) {
-  // A null budget can never exhaust, so value() cannot die here.
-  return ComputeUnsatBudgeted(g, forward, reverse, nullptr).value();
-}
-
-Result<std::vector<bool>> ComputeUnsatBudgeted(
-    const TBoxGraph& g, const graph::TransitiveClosure& forward,
-    const graph::TransitiveClosure& reverse, const ExecBudget* budget) {
   const graph::NodeId n = g.nodes.NumNodes();
   std::vector<bool> unsat(n, false);
   std::vector<graph::NodeId> worklist;
@@ -49,9 +42,6 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   // Seeds: for each negative inclusion S1 ⊑ ¬S2, every predicate that is
   // (transitively, reflexively) subsumed by both sides is unsatisfiable.
   for (const auto& ni : g.negative_inclusions) {
-    if (budget != nullptr && budget->Exhausted()) {
-      return budget->Check("classify/unsat");
-    }
     std::vector<graph::NodeId> p1 = ReflexivePredecessors(reverse, ni.lhs);
     std::vector<graph::NodeId> p2 = ReflexivePredecessors(reverse, ni.rhs);
     std::vector<graph::NodeId> both;
@@ -67,9 +57,6 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   // and B is unsatisfiable. (An *unsatisfiable* member of the closure is
   // handled by the fixpoint rules below.)
   for (const auto& qe : g.qualified_existentials) {
-    if (budget != nullptr && budget->Exhausted()) {
-      return budget->Check("classify/unsat");
-    }
     std::unordered_set<graph::NodeId> memberships;
     auto add_up = [&](graph::NodeId m) {
       memberships.insert(m);
@@ -99,11 +86,7 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   }
 
   // Fixpoint propagation.
-  uint64_t pops = 0;
   while (!worklist.empty()) {
-    if (budget != nullptr && (++pops & 0x3F) == 0 && budget->Exhausted()) {
-      return budget->Check("classify/unsat");
-    }
     graph::NodeId x = worklist.back();
     worklist.pop_back();
 
@@ -149,14 +132,6 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
 Classification Classify(const dllite::TBox& tbox,
                         const dllite::Vocabulary& vocab,
                         const ClassificationOptions& options) {
-  // A null budget can never exhaust, so value() cannot die here.
-  return ClassifyBudgeted(tbox, vocab, options, nullptr).value();
-}
-
-Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
-                                        const dllite::Vocabulary& vocab,
-                                        const ClassificationOptions& options,
-                                        const ExecBudget* budget) {
   ClassificationStats stats;
   Stopwatch sw;
 
@@ -166,52 +141,28 @@ Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
   stats.num_graph_arcs = g.digraph.NumArcs();
 
   sw.Reset();
-  const unsigned threads = ThreadPool::ResolveThreads(options.threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-
-  Result<std::unique_ptr<graph::TransitiveClosure>> forward_result =
-      Status::Internal("closure not computed");
-  Result<std::unique_ptr<graph::TransitiveClosure>> reverse_result =
-      Status::Internal("closure not computed");
-  if (pool.has_value()) {
-    // Forward and reverse closures are independent: run them as two
-    // concurrent tasks, each of which parallelises internally on the same
-    // pool (nested ParallelFor is safe; see common/thread_pool.h).
+  std::unique_ptr<graph::TransitiveClosure> forward;
+  std::unique_ptr<graph::TransitiveClosure> reverse;
+  if (ThreadPool::ResolveThreads(options.threads) > 1) {
+    // The two closures are independent: build the reverse one on a second
+    // thread while this thread builds the forward one.
     graph::Digraph reversed = g.digraph.Reversed();
-    pool->ParallelFor(0, 2, 1, [&](size_t i) {
-      if (i == 0) {
-        forward_result = graph::ComputeClosureBudgeted(g.digraph,
-                                                       options.engine, &*pool,
-                                                       budget);
-      } else {
-        reverse_result = graph::ComputeClosureBudgeted(reversed,
-                                                       options.engine, &*pool,
-                                                       budget);
-      }
+    std::jthread reverse_builder([&] {
+      reverse = graph::ComputeClosure(reversed, options.engine);
     });
+    forward = graph::ComputeClosure(g.digraph, options.engine);
+    reverse_builder.join();
   } else {
-    forward_result = graph::ComputeClosureBudgeted(g.digraph, options.engine,
-                                                   nullptr, budget);
-    reverse_result = graph::ComputeClosureBudgeted(g.digraph.Reversed(),
-                                                   options.engine, nullptr,
-                                                   budget);
+    forward = graph::ComputeClosure(g.digraph, options.engine);
+    reverse = graph::ComputeClosure(g.digraph.Reversed(), options.engine);
   }
-  OLITE_RETURN_IF_ERROR(forward_result.status());
-  OLITE_RETURN_IF_ERROR(reverse_result.status());
-  std::unique_ptr<graph::TransitiveClosure> forward =
-      std::move(forward_result).value();
-  std::unique_ptr<graph::TransitiveClosure> reverse =
-      std::move(reverse_result).value();
   stats.closure_ms = sw.ElapsedMillis();
   stats.num_closure_arcs = forward->NumClosureArcs();
 
   sw.Reset();
-  std::vector<bool> unsat(g.nodes.NumNodes(), false);
-  if (options.compute_unsat) {
-    OLITE_ASSIGN_OR_RETURN(unsat,
-                           ComputeUnsatBudgeted(g, *forward, *reverse, budget));
-  }
+  std::vector<bool> unsat = options.compute_unsat
+                                ? ComputeUnsat(g, *forward, *reverse)
+                                : std::vector<bool>(g.nodes.NumNodes(), false);
   stats.unsat_ms = sw.ElapsedMillis();
   stats.num_unsat_nodes =
       static_cast<uint64_t>(std::count(unsat.begin(), unsat.end(), true));
@@ -248,7 +199,6 @@ Classification RefreshClassification(const Classification& base,
     if (stats != nullptr) stats->fell_back_scratch = true;
     ClassificationOptions copts;
     copts.engine = graph::ClosureEngine::kDynamic;
-    copts.threads = options.threads;
     return Classify(tbox, vocab, copts);
   };
   if (base_fwd == nullptr || base_rev == nullptr || !layout_stable) {
@@ -386,31 +336,16 @@ std::vector<dllite::AttributeId> Classification::UnsatisfiableAttributes()
   return out;
 }
 
-uint64_t Classification::CountNamedSubsumptions(ThreadPool* pool) const {
+uint64_t Classification::CountNamedSubsumptions() const {
   const NodeTable& nt = graph_.nodes;
-  // One flat index space over all named predicates; each term is an
-  // independent read-only query, so the sum parallelises with per-shard
-  // accumulators (exact: uint64 addition is associative).
-  const uint64_t nc = nt.num_concepts();
-  const uint64_t nr = nt.num_roles();
-  const uint64_t na = nt.num_attributes();
-  auto term = [&](uint64_t i) -> uint64_t {
-    if (i < nc) return SuperConcepts(static_cast<uint32_t>(i)).size();
-    if (i < nc + nr) return SuperRoles(static_cast<uint32_t>(i - nc)).size();
-    return SuperAttributes(static_cast<uint32_t>(i - nc - nr)).size();
-  };
-  const uint64_t n = nc + nr + na;
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    uint64_t total = 0;
-    for (uint64_t i = 0; i < n; ++i) total += term(i);
-    return total;
-  }
-  std::vector<uint64_t> partial(pool->num_threads(), 0);
-  pool->ParallelForShard(0, n, /*grain=*/64, [&](unsigned shard, size_t i) {
-    partial[shard] += term(i);
-  });
   uint64_t total = 0;
-  for (uint64_t p : partial) total += p;
+  for (uint32_t c = 0; c < nt.num_concepts(); ++c) {
+    total += SuperConcepts(c).size();
+  }
+  for (uint32_t r = 0; r < nt.num_roles(); ++r) total += SuperRoles(r).size();
+  for (uint32_t u = 0; u < nt.num_attributes(); ++u) {
+    total += SuperAttributes(u).size();
+  }
   return total;
 }
 

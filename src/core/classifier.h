@@ -4,15 +4,9 @@
 #include <memory>
 #include <vector>
 
-#include "common/exec_budget.h"
-#include "common/result.h"
 #include "core/tbox_graph.h"
 #include "dllite/tbox.h"
 #include "graph/closure.h"
-
-namespace olite {
-class ThreadPool;
-}
 
 namespace olite::core {
 
@@ -25,10 +19,11 @@ struct ClassificationOptions {
   /// complete for TBoxes without unsatisfiable predicates. Used to measure
   /// the cost of the second phase in isolation.
   bool compute_unsat = true;
-  /// Execution width: forward/reverse closures are computed concurrently
-  /// and each closure engine parallelises internally (common/thread_pool.h).
-  /// `1` = exact serial path (the default, and the pre-parallel behaviour);
-  /// `0` = hardware_concurrency. Results are identical at every width.
+  /// Execution width. Above one, the forward and reverse closures are
+  /// built concurrently, on the calling thread and one extra thread; each
+  /// closure is still built serially. `1` = everything on the calling
+  /// thread (the default); `0` = hardware_concurrency. Results are
+  /// identical at every width.
   unsigned threads = 1;
 };
 
@@ -127,10 +122,8 @@ class Classification {
   std::vector<dllite::AttributeId> UnsatisfiableAttributes() const;
 
   /// Total number of entailed non-reflexive subsumptions between *named*
-  /// predicates (the size of the classification output). With a non-null
-  /// `pool`, the per-predicate counts are summed in parallel; the result
-  /// is exact and identical at every pool width.
-  uint64_t CountNamedSubsumptions(ThreadPool* pool = nullptr) const;
+  /// predicates (the size of the classification output).
+  uint64_t CountNamedSubsumptions() const;
 
   const TBoxGraph& tbox_graph() const { return graph_; }
   const graph::TransitiveClosure& closure() const { return *forward_; }
@@ -152,25 +145,11 @@ Classification Classify(const dllite::TBox& tbox,
                         const dllite::Vocabulary& vocab,
                         const ClassificationOptions& options = {});
 
-/// Budget-aware classification: the closure engines poll `budget`
-/// cooperatively (including from pool workers) and `computeUnsat` checks
-/// it per fixpoint step, so an adversarial TBox cannot pin a serving
-/// thread past its deadline. Returns kResourceExhausted once the budget
-/// is cancelled or expired; a null budget behaves exactly like
-/// `Classify`.
-Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
-                                        const dllite::Vocabulary& vocab,
-                                        const ClassificationOptions& options,
-                                        const ExecBudget* budget);
-
 /// Tuning knobs for `RefreshClassification`.
 struct RefreshOptions {
   /// Dirty-node fraction above which the dynamic-closure patch (and hence
   /// the whole refresh) falls back to a from-scratch merge.
   double fallback_fraction = 0.25;
-  /// Threads for the *fallback* scratch classification; the patch path
-  /// itself is serial (it is cheap by construction).
-  unsigned threads = 1;
 };
 
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.
@@ -206,13 +185,6 @@ Classification RefreshClassification(const Classification& base,
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
                                const graph::TransitiveClosure& forward,
                                const graph::TransitiveClosure& reverse);
-
-/// Budget-aware computeUnsat: polls `budget` per seed axiom and per
-/// fixpoint pop; kResourceExhausted on exhaustion (null budget = the
-/// plain overload).
-Result<std::vector<bool>> ComputeUnsatBudgeted(
-    const TBoxGraph& g, const graph::TransitiveClosure& forward,
-    const graph::TransitiveClosure& reverse, const ExecBudget* budget);
 
 }  // namespace olite::core
 

@@ -1,9 +1,7 @@
 #include "graph/closure.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/thread_pool.h"
 #include "graph/dynamic_closure.h"
 #include "graph/scc.h"
 
@@ -11,62 +9,19 @@ namespace olite::graph {
 
 namespace {
 
-bool UsePool(const ThreadPool* pool) {
-  return pool != nullptr && pool->num_threads() > 1;
-}
-
-// Cooperative-abort bookkeeping shared by the engine constructors: polls
-// the budget once per work unit (a source node or an SCC component — each
-// amortises the clock read over real traversal work) and latches. Workers
-// that observe the latch skip their remaining units, so a cancelled build
-// converges quickly; the half-built closure is discarded by the caller.
-struct BuildAbort {
-  const ExecBudget* budget = nullptr;
-  std::atomic<bool> aborted{false};
-
-  // True when the caller should skip this work unit.
-  bool Poll() {
-    if (aborted.load(std::memory_order_relaxed)) return true;
-    if (budget != nullptr && budget->Exhausted()) {
-      aborted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-};
-
 // ---------------------------------------------------------------------------
-// BFS engine: one breadth-first traversal per source node. Sources are
-// independent, so construction parallelises with per-shard scratch.
+// BFS engine: one breadth-first traversal per source node.
 // ---------------------------------------------------------------------------
 class BfsClosure : public TransitiveClosure {
  public:
-  explicit BfsClosure(const Digraph& g, ThreadPool* pool,
-                      const ExecBudget* budget = nullptr) {
-    abort_.budget = budget;
+  explicit BfsClosure(const Digraph& g) {
     const NodeId n = g.NumNodes();
     reach_.resize(n);
-    if (!UsePool(pool)) {
-      Scratch scratch;
-      scratch.visited.assign(n, 0);
-      for (NodeId src = 0; src < n; ++src) {
-        if (abort_.Poll()) break;
-        Traverse(g, src, &scratch);
-      }
-    } else {
-      std::vector<Scratch> scratch(pool->num_threads());
-      pool->ParallelForShard(0, n, /*grain=*/16, [&](unsigned shard,
-                                                     size_t src) {
-        if (abort_.Poll()) return;
-        Scratch& s = scratch[shard];
-        if (s.visited.size() < n) s.visited.assign(n, 0);
-        Traverse(g, static_cast<NodeId>(src), &s);
-      });
-    }
+    Scratch scratch;
+    scratch.visited.assign(n, 0);
+    for (NodeId src = 0; src < n; ++src) Traverse(g, src, &scratch);
     for (const auto& r : reach_) num_arcs_ += r.size();
   }
-
-  bool aborted() const { return abort_.aborted.load(std::memory_order_relaxed); }
 
   bool Reaches(NodeId from, NodeId to) const override {
     const auto& r = reach_[from];
@@ -111,7 +66,6 @@ class BfsClosure : public TransitiveClosure {
 
   std::vector<std::vector<NodeId>> reach_;
   uint64_t num_arcs_ = 0;
-  BuildAbort abort_;
 };
 
 // ---------------------------------------------------------------------------
@@ -122,36 +76,21 @@ class BfsClosure : public TransitiveClosure {
 // ---------------------------------------------------------------------------
 class SccMergeClosure : public TransitiveClosure {
  public:
-  explicit SccMergeClosure(const Digraph& g, ThreadPool* pool,
-                           const ExecBudget* budget = nullptr)
+  explicit SccMergeClosure(const Digraph& g)
       : scc_(ComputeScc(g)), dag_(BuildCondensation(g, scc_)) {
-    abort_.budget = budget;
     const NodeId nc = scc_.NumComponents();
     comp_reach_.resize(nc);
-    if (!UsePool(pool)) {
-      // Component ids ascend in reverse topological order, so every
-      // successor component's reach set is already final when we process c.
-      std::vector<NodeId> merged;
-      for (NodeId c = 0; c < nc; ++c) {
-        if (abort_.Poll()) break;
-        MergeOne(c, &merged);
-      }
-    } else {
-      // Level-synchronous propagation: within a level no component can
-      // reach another, so their merges only read finalised earlier levels.
-      std::vector<std::vector<NodeId>> scratch(pool->num_threads());
-      for (const auto& level : TopologicalLevels()) {
-        pool->ParallelForShard(0, level.size(), /*grain=*/16,
-                               [&](unsigned shard, size_t i) {
-                                 if (abort_.Poll()) return;
-                                 MergeOne(level[i], &scratch[shard]);
-                               });
-      }
+    // Component ids ascend in reverse topological order, so every
+    // successor component's reach set is already final when we process c.
+    std::vector<NodeId> merged;
+    for (NodeId c = 0; c < nc; ++c) {
+      MergeOne(c, &merged);
+      uint64_t targets = 0;
+      for (NodeId d : comp_reach_[c]) targets += scc_.members[d].size();
+      if (scc_.cyclic[c]) targets += scc_.members[c].size();
+      num_arcs_ += targets * scc_.members[c].size();
     }
-    FinalizeArcCount(pool);
   }
-
-  bool aborted() const { return abort_.aborted.load(std::memory_order_relaxed); }
 
   std::string EngineName() const override { return "scc_merge"; }
 
@@ -190,52 +129,10 @@ class SccMergeClosure : public TransitiveClosure {
     comp_reach_[c] = *merged;
   }
 
-  /// Sums the closure-arc count; called once at the end of construction
-  /// (per-component terms are independent, so this parallelises too).
-  void FinalizeArcCount(ThreadPool* pool) {
-    const NodeId nc = scc_.NumComponents();
-    auto term = [this](NodeId c) {
-      uint64_t targets = 0;
-      for (NodeId d : comp_reach_[c]) targets += scc_.members[d].size();
-      if (scc_.cyclic[c]) targets += scc_.members[c].size();
-      return targets * scc_.members[c].size();
-    };
-    if (!UsePool(pool)) {
-      for (NodeId c = 0; c < nc; ++c) num_arcs_ += term(c);
-      return;
-    }
-    std::vector<uint64_t> partial(pool->num_threads(), 0);
-    pool->ParallelForShard(0, nc, /*grain=*/64, [&](unsigned shard, size_t c) {
-      partial[shard] += term(static_cast<NodeId>(c));
-    });
-    for (uint64_t p : partial) num_arcs_ += p;
-  }
-
-  /// Groups components by longest-path depth in the condensation DAG.
-  /// All of a component's successors sit in strictly earlier levels, so
-  /// the components of one level can be processed concurrently once every
-  /// earlier level is final. Levels (and each level) ascend by id.
-  std::vector<std::vector<NodeId>> TopologicalLevels() const {
-    const NodeId nc = dag_.NumNodes();
-    std::vector<uint32_t> level(nc, 0);
-    uint32_t max_level = 0;
-    for (NodeId c = 0; c < nc; ++c) {
-      uint32_t l = 0;
-      // Successor components have smaller ids: already levelled.
-      for (NodeId d : dag_.Successors(c)) l = std::max(l, level[d] + 1);
-      level[c] = l;
-      max_level = std::max(max_level, l);
-    }
-    std::vector<std::vector<NodeId>> levels(max_level + 1);
-    for (NodeId c = 0; c < nc; ++c) levels[level[c]].push_back(c);
-    return levels;
-  }
-
   SccResult scc_;
   Digraph dag_;
   std::vector<std::vector<NodeId>> comp_reach_;
   uint64_t num_arcs_ = 0;
-  BuildAbort abort_;
 };
 
 }  // namespace
@@ -251,48 +148,16 @@ const char* ClosureEngineName(ClosureEngine engine) {
 
 std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
                                                   ClosureEngine engine,
-                                                  ThreadPool* pool) {
+                                                  ThreadPool* /*pool*/) {
   switch (engine) {
     case ClosureEngine::kBfs:
-      return std::make_unique<BfsClosure>(g, pool);
+      return std::make_unique<BfsClosure>(g);
     case ClosureEngine::kSccMerge:
-      return std::make_unique<SccMergeClosure>(g, pool);
+      return std::make_unique<SccMergeClosure>(g);
     case ClosureEngine::kDynamic:
       return std::make_unique<DynamicClosure>(g);
   }
   return nullptr;
-}
-
-Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
-    const Digraph& g, ClosureEngine engine, ThreadPool* pool,
-    const ExecBudget* budget) {
-  auto finish = [&](auto closure) -> Result<std::unique_ptr<TransitiveClosure>> {
-    if (closure->aborted()) {
-      Status s = budget->Check("closure");
-      if (s.ok()) s = Status::ResourceExhausted("closure: budget exhausted");
-      return s;
-    }
-    return std::unique_ptr<TransitiveClosure>(std::move(closure));
-  };
-  switch (engine) {
-    case ClosureEngine::kBfs:
-      return finish(std::make_unique<BfsClosure>(g, pool, budget));
-    case ClosureEngine::kSccMerge:
-      return finish(std::make_unique<SccMergeClosure>(g, pool, budget));
-    case ClosureEngine::kDynamic: {
-      // The dynamic engine is built for patch reuse, not budget ablation;
-      // its construction cost matches scc_merge, so a single post-build
-      // budget check suffices for the fallback ladder.
-      auto closure = std::make_unique<DynamicClosure>(g);
-      if (budget != nullptr && budget->Exhausted()) {
-        Status s = budget->Check("closure");
-        if (s.ok()) s = Status::ResourceExhausted("closure: budget exhausted");
-        return s;
-      }
-      return std::unique_ptr<TransitiveClosure>(std::move(closure));
-    }
-  }
-  return Status::InvalidArgument("unknown closure engine");
 }
 
 }  // namespace olite::graph

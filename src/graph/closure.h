@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_budget.h"
-#include "common/result.h"
 #include "graph/digraph.h"
 
 namespace olite {
@@ -39,17 +37,20 @@ class TransitiveClosure {
 };
 
 /// Closure algorithm selector, used by benchmarks to ablate the choice.
+/// Every engine builds its closure serially on the calling thread.
 enum class ClosureEngine {
-  /// One BFS per source node over the raw adjacency lists. Simple baseline.
+  /// One BFS per source node over the raw adjacency lists. Simple baseline
+  /// and the test oracle.
   kBfs,
   /// Tarjan SCC condensation + reverse-topological merge of sorted
   /// per-component successor vectors. Memory proportional to the closure
-  /// size; the production engine.
+  /// size; the default engine of `core::Classify`.
   kSccMerge,
   /// Patchable SCC closure (graph/dynamic_closure.h): node-id-space reach
   /// vectors shared across `Patched()` generations, enabling incremental
-  /// maintenance under arc deltas. Serial construction; pick it when the
-  /// closure will be refreshed under ontology churn.
+  /// maintenance under arc deltas. The compile-path engine: ontologies
+  /// compiled for answering are classified with it so that a refresh can
+  /// patch their closures.
   kDynamic,
 };
 
@@ -60,22 +61,11 @@ const char* ClosureEngineName(ClosureEngine engine);
 /// Computes the transitive closure of `g` with the chosen engine.
 /// `g` should be Finalize()d first.
 ///
-/// When `pool` is non-null and wider than one thread, construction is
-/// parallelised: per-source BFS for the `bfs` engine, level-synchronous
-/// propagation over the condensation DAG for the SCC engines. The result
-/// is bit-identical to the serial computation at every pool width.
+/// The `ThreadPool*` parameter is kept for source compatibility only: no
+/// engine uses it, and every engine builds serially.
 std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
                                                   ClosureEngine engine,
                                                   ThreadPool* pool = nullptr);
-
-/// Budget-aware closure computation: the engines poll `budget`
-/// cooperatively (per source node / per SCC component, from every pool
-/// worker) and abandon construction once it is cancelled or past its
-/// deadline, returning kResourceExhausted instead of a partially-built
-/// closure. A null budget behaves exactly like `ComputeClosure`.
-Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
-    const Digraph& g, ClosureEngine engine, ThreadPool* pool,
-    const ExecBudget* budget);
 
 }  // namespace olite::graph
 

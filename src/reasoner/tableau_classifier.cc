@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "graph/closure.h"
 #include "graph/digraph.h"
 
@@ -76,20 +74,6 @@ class Driver {
         num_concepts_(static_cast<uint32_t>(onto.vocab().NumConcepts())) {
     BuildToldHierarchy();
     ComputePrimitivity();
-    const unsigned threads = ThreadPool::ResolveThreads(options.threads);
-    if (threads > 1) {
-      // Shard 0 runs on the primary reasoner; every extra worker gets a
-      // private reasoner over its own clone of the ontology, because the
-      // expression factory interns (mutates) on every lookup.
-      pool_.emplace(threads);
-      worker_ontos_.reserve(threads - 1);
-      worker_reasoners_.reserve(threads - 1);
-      for (unsigned i = 1; i < threads; ++i) {
-        worker_ontos_.push_back(onto.Clone());
-        worker_reasoners_.push_back(std::make_unique<TableauReasoner>(
-            *worker_ontos_.back(), BoundedTableau(options)));
-      }
-    }
   }
 
   TableauClassification Run() {
@@ -113,7 +97,6 @@ class Driver {
     std::sort(out.unsatisfiable.begin(), out.unsatisfiable.end());
     out.completed = ok;
     out.sat_tests = reasoner_.num_sat_tests();
-    for (const auto& r : worker_reasoners_) out.sat_tests += r->num_sat_tests();
     out.elapsed_ms = watch_.ElapsedMillis();
     return out;
   }
@@ -225,62 +208,6 @@ class Driver {
     return !*r;
   }
 
-  // -- parallel dispatch ------------------------------------------------------
-  //
-  // Worker `shard` owns ReasonerFor(shard)/AtomFor(shard) exclusively while a
-  // batch runs; shard 0 is the calling thread on the primary reasoner. All
-  // shared state (cache_, the hierarchy DAG, told_) is read-only inside a
-  // batch and mutated only at the serial merge barriers, so no locks are
-  // needed and results are independent of scheduling.
-
-  TableauReasoner& ReasonerFor(unsigned shard) {
-    return shard == 0 ? reasoner_ : *worker_reasoners_[shard - 1];
-  }
-
-  ClassExprPtr AtomFor(unsigned shard, ConceptId a) {
-    return shard == 0 ? Atom(a) : worker_ontos_[shard - 1]->factory().Atomic(a);
-  }
-
-  // One wave of deduplicated subsumption candidates, each a (sub, sup) pair
-  // that Subsumes() would actually send to the tableau (not reflexive, not
-  // told, not cached).
-  struct PendingBatch {
-    std::vector<std::pair<ConceptId, ConceptId>> pairs;
-    std::unordered_set<uint64_t> seen;
-  };
-
-  void QueuePair(ConceptId sup, ConceptId sub, PendingBatch* batch) {
-    if (sup == sub) return;
-    if (told_->Reaches(sub, sup)) return;
-    uint64_t key = static_cast<uint64_t>(sub) * num_concepts_ + sup;
-    if (cache_.find(key) != cache_.end()) return;
-    if (batch->seen.insert(key).second) batch->pairs.emplace_back(sub, sup);
-  }
-
-  // Runs a wave's tests concurrently (mutex-free: verdicts land in
-  // per-index slots) and merges them into cache_ in index order. A test
-  // that exhausts its budget sets fail_, exactly as the serial path would.
-  void RunBatch(const PendingBatch& batch) {
-    const size_t n = batch.pairs.size();
-    if (n == 0 || fail_) return;
-    std::vector<int8_t> verdict(n, -1);
-    pool_->ParallelForShard(0, n, /*grain=*/1, [&](unsigned shard, size_t i) {
-      auto [sub, sup] = batch.pairs[i];
-      auto r = ReasonerFor(shard).IsSubsumedBy(AtomFor(shard, sub),
-                                               AtomFor(shard, sup));
-      if (r.ok()) verdict[i] = *r ? 1 : 0;
-    });
-    for (size_t i = 0; i < n; ++i) {
-      if (verdict[i] < 0) {
-        fail_ = true;
-        continue;
-      }
-      auto [sub, sup] = batch.pairs[i];
-      cache_.emplace(static_cast<uint64_t>(sub) * num_concepts_ + sup,
-                     verdict[i] == 1);
-    }
-  }
-
   void FillUnsatSubsumers(ConceptId a, TableauClassification* out) {
     out->unsatisfiable.push_back(a);
     auto& subs = out->concept_subsumers[a];
@@ -293,7 +220,6 @@ class Driver {
   // -- pairwise strategies ----------------------------------------------------
 
   bool RunPairwise(TableauClassification* out, bool use_told) {
-    if (pool_) return RunPairwiseParallel(out, use_told);
     std::vector<bool> unsat(num_concepts_, false);
     for (ConceptId a = 0; a < num_concepts_; ++a) {
       if (TimedOut() || fail_) return false;
@@ -311,60 +237,6 @@ class Driver {
       }
     }
     return !fail_;
-  }
-
-  // Pairwise with every row dispatched across the pool. Every ordered pair
-  // is a distinct candidate (the cache can never hit), so rows share no
-  // state: each writes only its own subsumer vector. The test set — and so
-  // the result — matches the serial path exactly.
-  bool RunPairwiseParallel(TableauClassification* out, bool use_told) {
-    std::vector<int8_t> sat(num_concepts_, -1);
-    pool_->ParallelForShard(
-        0, num_concepts_, /*grain=*/1, [&](unsigned shard, size_t a) {
-          if (TimedOut()) return;
-          auto r = ReasonerFor(shard).IsSatisfiable(
-              AtomFor(shard, static_cast<ConceptId>(a)));
-          if (r.ok()) sat[a] = *r ? 1 : 0;
-        });
-    std::vector<bool> unsat(num_concepts_, false);
-    for (ConceptId a = 0; a < num_concepts_; ++a) {
-      if (TimedOut()) return false;
-      if (sat[a] < 0) {
-        fail_ = true;
-        return false;
-      }
-      unsat[a] = sat[a] == 0;
-      if (unsat[a]) FillUnsatSubsumers(a, out);
-    }
-    std::vector<uint8_t> stopped(pool_->num_threads(), 0);
-    pool_->ParallelForShard(
-        0, num_concepts_, /*grain=*/1, [&](unsigned shard, size_t ai) {
-          const ConceptId a = static_cast<ConceptId>(ai);
-          if (unsat[a] || stopped[shard]) return;
-          auto& subs = out->concept_subsumers[a];
-          for (ConceptId b = 0; b < num_concepts_; ++b) {
-            if (a == b) continue;
-            if (TimedOut()) {
-              stopped[shard] = 1;
-              return;
-            }
-            if (use_told && told_->Reaches(a, b)) {
-              subs.push_back(b);
-              continue;
-            }
-            auto r = ReasonerFor(shard).IsSubsumedBy(AtomFor(shard, a),
-                                                     AtomFor(shard, b));
-            if (!r.ok()) {
-              stopped[shard] = 1;
-              return;
-            }
-            if (*r) subs.push_back(b);
-          }
-        });
-    for (uint8_t s : stopped) {
-      if (s) fail_ = true;
-    }
-    return !fail_ && !TimedOut();
   }
 
   // -- enhanced traversal -----------------------------------------------------
@@ -423,87 +295,6 @@ class Driver {
     for (uint32_t w : pos) BottomSearchVisit(a, w, visited, result);
   }
 
-  // Level-synchronous top search: each wave batches the frontier's untested
-  // children across the pool, then expands from the now-cached verdicts.
-  // The nodes visited — and the tests issued — are exactly those of the
-  // recursive serial search, so the resulting taxonomy is identical.
-  std::vector<uint32_t> TopSearchParallel(ConceptId a) {
-    std::unordered_set<uint32_t> visited = {kTop};
-    std::vector<uint32_t> frontier = {kTop};
-    std::vector<uint32_t> result;
-    while (!frontier.empty() && !fail_) {
-      PendingBatch batch;
-      for (uint32_t v : frontier) {
-        for (uint32_t w : nodes_[v].children) QueuePair(Canon(w), a, &batch);
-      }
-      RunBatch(batch);
-      if (fail_) return result;
-      std::vector<uint32_t> next;
-      for (uint32_t v : frontier) {
-        std::vector<uint32_t> pos;
-        for (uint32_t w : nodes_[v].children) {
-          if (NodeSubsumes(w, a)) pos.push_back(w);
-        }
-        if (pos.empty()) {
-          result.push_back(v);
-          continue;
-        }
-        for (uint32_t w : pos) {
-          if (visited.insert(w).second) next.push_back(w);
-        }
-      }
-      frontier = std::move(next);
-    }
-    return result;
-  }
-
-  // Level-synchronous bottom search from the current leaves (the parents of
-  // the virtual ⊥), mirroring the serial recursion the same way.
-  std::vector<uint32_t> BottomSearchParallel(ConceptId a) {
-    std::vector<uint32_t> leaves;
-    for (uint32_t v = 1; v < nodes_.size(); ++v) {
-      if (nodes_[v].children.empty()) leaves.push_back(v);
-    }
-    PendingBatch seed;
-    for (uint32_t v : leaves) QueuePair(a, Canon(v), &seed);
-    RunBatch(seed);
-    if (fail_) return {};
-    std::unordered_set<uint32_t> visited;
-    std::vector<uint32_t> frontier;
-    std::vector<uint32_t> result;
-    for (uint32_t v : leaves) {
-      if (NodeSubsumedBy(v, a) && visited.insert(v).second) {
-        frontier.push_back(v);
-      }
-    }
-    while (!frontier.empty() && !fail_) {
-      PendingBatch batch;
-      for (uint32_t v : frontier) {
-        for (uint32_t w : nodes_[v].parents) {
-          if (w != kTop) QueuePair(a, Canon(w), &batch);
-        }
-      }
-      RunBatch(batch);
-      if (fail_) return result;
-      std::vector<uint32_t> next;
-      for (uint32_t v : frontier) {
-        std::vector<uint32_t> pos;
-        for (uint32_t w : nodes_[v].parents) {
-          if (w != kTop && NodeSubsumedBy(w, a)) pos.push_back(w);
-        }
-        if (pos.empty()) {
-          result.push_back(v);
-          continue;
-        }
-        for (uint32_t w : pos) {
-          if (visited.insert(w).second) next.push_back(w);
-        }
-      }
-      frontier = std::move(next);
-    }
-    return result;
-  }
-
   bool RunEnhanced(TableauClassification* out) {
     nodes_.clear();
     nodes_.push_back(HNode{});  // ⊤
@@ -513,34 +304,10 @@ class Driver {
     // Insert in told-topological-ish order: parents tend to come first.
     std::vector<ConceptId> order = ToldInsertionOrder();
 
-    std::vector<int8_t> sat;
-    if (pool_) {
-      // Prefetch the satisfiability tests concurrently: the serial loop
-      // runs exactly one per concept before inserting it, so batching them
-      // up front issues the same test set.
-      sat.assign(num_concepts_, -1);
-      pool_->ParallelForShard(
-          0, order.size(), /*grain=*/1, [&](unsigned shard, size_t i) {
-            if (TimedOut()) return;
-            auto r = ReasonerFor(shard).IsSatisfiable(AtomFor(shard, order[i]));
-            if (r.ok()) sat[order[i]] = *r ? 1 : 0;
-          });
-    }
-
     std::vector<bool> unsat(num_concepts_, false);
     for (ConceptId a : order) {
       if (TimedOut() || fail_) break;
-      bool a_unsat;
-      if (pool_) {
-        if (sat[a] < 0) {
-          fail_ = true;
-          break;
-        }
-        a_unsat = sat[a] == 0;
-      } else {
-        a_unsat = IsUnsat(a);
-      }
-      if (a_unsat) {
+      if (IsUnsat(a)) {
         unsat[a] = true;
         FillUnsatSubsumers(a, out);
         inserted_[a] = true;  // classified (at ⊥)
@@ -610,12 +377,8 @@ class Driver {
 
   void InsertConcept(ConceptId a) {
     std::vector<uint32_t> parents;
-    if (pool_) {
-      parents = TopSearchParallel(a);
-    } else {
-      std::unordered_set<uint32_t> visited;
-      TopSearchVisit(a, kTop, &visited, &parents);
-    }
+    std::unordered_set<uint32_t> visited;
+    TopSearchVisit(a, kTop, &visited, &parents);
     if (fail_) return;
     std::sort(parents.begin(), parents.end());
     parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
@@ -634,22 +397,18 @@ class Driver {
 
     std::vector<uint32_t> children;
     if (non_primitive_[a]) {
-      if (pool_) {
-        children = BottomSearchParallel(a);
-      } else {
-        // Bottom search from a virtual ⊥ whose parents are the current
-        // leaves.
-        std::unordered_set<uint32_t> bvisited;
-        std::vector<uint32_t> starts;
-        for (uint32_t v = 1; v < nodes_.size(); ++v) {
-          if (nodes_[v].children.empty() && NodeSubsumedBy(v, a)) {
-            starts.push_back(v);
-          }
-          if (fail_) return;
+      // Bottom search from a virtual ⊥ whose parents are the current
+      // leaves.
+      std::unordered_set<uint32_t> bvisited;
+      std::vector<uint32_t> starts;
+      for (uint32_t v = 1; v < nodes_.size(); ++v) {
+        if (nodes_[v].children.empty() && NodeSubsumedBy(v, a)) {
+          starts.push_back(v);
         }
-        for (uint32_t v : starts) {
-          BottomSearchVisit(a, v, &bvisited, &children);
-        }
+        if (fail_) return;
+      }
+      for (uint32_t v : starts) {
+        BottomSearchVisit(a, v, &bvisited, &children);
       }
       if (fail_) return;
       std::sort(children.begin(), children.end());
@@ -704,10 +463,6 @@ class Driver {
   std::vector<bool> non_primitive_;
   std::unordered_map<uint64_t, bool> cache_;
   bool fail_ = false;
-
-  std::optional<ThreadPool> pool_;
-  std::vector<std::unique_ptr<owl::OwlOntology>> worker_ontos_;
-  std::vector<std::unique_ptr<TableauReasoner>> worker_reasoners_;
 
   std::vector<HNode> nodes_;
   std::vector<uint32_t> node_of_;

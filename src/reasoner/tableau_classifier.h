@@ -33,14 +33,6 @@ struct TableauClassifierOptions {
   /// Wall-clock budget; exceeded ⇒ result.completed = false ("timeout").
   double time_budget_ms = std::numeric_limits<double>::infinity();
   TableauOptions tableau;
-  /// Execution width (common/thread_pool.h). Independent subsumption tests
-  /// are dispatched across the pool, each worker running a private reasoner
-  /// over its own clone of the ontology; verdicts merge into the taxonomy
-  /// at phase barriers. The set of tests issued — and therefore the result,
-  /// including `sat_tests` — is identical at every width (barring timeouts,
-  /// which are inherently wall-clock dependent). `1` = exact serial path
-  /// (the default); `0` = hardware_concurrency.
-  unsigned threads = 1;
 };
 
 /// Output of tableau-based classification.

@@ -27,20 +27,36 @@ struct EngineMutation {
   bool enabled() const { return !drop_concept_supers_of.empty(); }
 };
 
+/// Counters `CompareClassifiers` adds to (see `ClassifierDiffOptions::tally`).
+struct ClassifierTally {
+  /// Classifier pairs compared: C(k, 2) per call, for the k classifiers
+  /// whose results were checked, the oracle included. A tableau that ran
+  /// out of budget is not compared and adds no pair.
+  uint64_t pairs = 0;
+  /// Tableau runs that hit `tableau_budget_ms` and were skipped.
+  uint64_t tableau_timeouts = 0;
+};
+
 /// Options for `CompareClassifiers`.
 struct ClassifierDiffOptions {
   /// The tableau is worst-case exponential; large or adversarial
-  /// signatures can skip it (graph/completion/oracle still triangulate).
+  /// signatures can skip it (the other engines and the oracle still
+  /// triangulate).
   bool run_tableau = true;
   double tableau_budget_ms = 60000;
   EngineMutation mutation;
+  /// When set, accumulates the counters above across calls.
+  ClassifierTally* tally = nullptr;
 };
 
-/// Differential classification: graph (core::Classify), completion
-/// (consequence-based), optionally tableau (through the OWL translation),
-/// all refereed by the brute-force `SubsumptionOracle` — subsumer sets and
-/// unsatisfiable-predicate sets must agree exactly. Returns human-readable
-/// discrepancy descriptions; empty = full agreement.
+/// Differential classification, refereed by the brute-force
+/// `SubsumptionOracle`: graph (core::Classify, serial `scc_merge`),
+/// `dynamic-t2` (core::Classify with the compile-path `dynamic` engine at
+/// `threads = 2`, so the forward and reverse closures are built
+/// concurrently), completion (consequence-based) and, optionally, tableau
+/// (through the OWL translation). Subsumer sets and unsatisfiable-predicate
+/// sets must agree exactly. Returns human-readable discrepancy
+/// descriptions; empty = full agreement.
 std::vector<std::string> CompareClassifiers(
     const dllite::Ontology& onto, const ClassifierDiffOptions& options = {});
 

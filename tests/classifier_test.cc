@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/classifier.h"
 #include "core/deductive_closure.h"
 #include "core/node_table.h"
@@ -478,8 +477,6 @@ TEST(ClassifierParallelTest, IdenticalResultsAtEveryWidth) {
         EXPECT_EQ(par.stats().num_closure_arcs, serial.stats().num_closure_arcs);
         EXPECT_EQ(par.stats().num_unsat_nodes, serial.stats().num_unsat_nodes);
         EXPECT_EQ(par.CountNamedSubsumptions(), serial_count);
-        ThreadPool pool(width);
-        EXPECT_EQ(par.CountNamedSubsumptions(&pool), serial_count);
         for (uint32_t a = 0; a < onto.vocab().NumConcepts(); ++a) {
           ASSERT_EQ(par.SuperConcepts(a), serial.SuperConcepts(a))
               << "seed " << seed << " width " << width << " concept " << a;

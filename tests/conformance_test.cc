@@ -1,5 +1,5 @@
 // The conformance harness end-to-end (src/testkit): seeded differential
-// sweeps (three classifiers refereed by the brute-force oracle; every
+// sweeps (four classifiers refereed by the brute-force oracle; every
 // answer leg of testkit::CompareAnswers refereed by the chase oracle, on
 // plain and constraint-rich workloads), hot-swap linearizability and delta
 // compilation sweeps, metamorphic properties, budget/fault monotonicity,
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -57,13 +58,22 @@ using testkit::SweepConfig;
 
 /// Runs `check` over the seed window through the shared sweep loop and
 /// fails with the shrunk corpus-format repro of the first failing seed.
+/// With a `classifiers` tally that `check` fills, it also prints how many
+/// scheduled tableau runs timed out and so were not compared.
 void ExpectSweepAgrees(const std::string& name,
                        WorkloadConfig (*config)(uint64_t),
-                       const testkit::SeedCheck& check) {
+                       const testkit::SeedCheck& check,
+                       const testkit::ClassifierTally* classifiers = nullptr) {
   const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
   const uint64_t count = EnvOr("OLITE_CONFORMANCE_SEEDS", 200);
   for (const auto& f : testkit::RunSweep(base, count, config, check)) {
     ADD_FAILURE() << name << ": " << f.Report(name);
+  }
+  if (classifiers != nullptr) {
+    std::printf("%s: %llu classifier pairs compared, %llu tableau timeouts\n",
+                name.c_str(),
+                static_cast<unsigned long long>(classifiers->pairs),
+                static_cast<unsigned long long>(classifiers->tableau_timeouts));
   }
 }
 
@@ -221,15 +231,48 @@ TEST(ChaseOracle, AgreesWithRewritingOnHandExample) {
 // Classifier pairs and the metamorphic properties; the answer legs of the
 // same seeds run in EvaluatorConformance below.
 TEST(ConformanceSweep, DifferentialAndMetamorphicAgreement) {
-  ExpectSweepAgrees("sweep", SweepConfig, [](const Workload& w, uint64_t seed) {
-    testkit::ClassifierDiffOptions copts;
-    copts.run_tableau = (seed % 8 == 0);  // tableau pairs, every 8th seed
-    auto diffs = testkit::CompareClassifiers(w.ontology, copts);
-    Append(testkit::CheckPiMonotonicity(w.ontology, seed), &diffs);
-    Append(testkit::CheckRenamingInvariance(w.ontology, seed), &diffs);
-    if (seed % 16 == 0) Append(testkit::CheckApproxSoundness(w), &diffs);
-    return diffs;
-  });
+  testkit::ClassifierTally tally;
+  ExpectSweepAgrees(
+      "sweep", SweepConfig,
+      [&](const Workload& w, uint64_t seed) {
+        testkit::ClassifierDiffOptions copts;
+        copts.run_tableau = (seed % 8 == 0);  // tableau pairs, every 8th seed
+        copts.tally = &tally;
+        auto diffs = testkit::CompareClassifiers(w.ontology, copts);
+        Append(testkit::CheckPiMonotonicity(w.ontology, seed), &diffs);
+        Append(testkit::CheckRenamingInvariance(w.ontology, seed), &diffs);
+        if (seed % 16 == 0) Append(testkit::CheckApproxSoundness(w), &diffs);
+        return diffs;
+      },
+      &tally);
+}
+
+// A tableau that runs out of budget is skipped, not compared: the tally
+// counts the timeout and adds no tableau pair.
+TEST(ConformanceSweep, TableauTimeoutIsCountedNotCompared) {
+  const dllite::Ontology onto =
+      benchgen::GenerateWorkload(SweepConfig(0)).ontology;
+  testkit::ClassifierTally without_tableau;
+  testkit::ClassifierDiffOptions copts;
+  copts.run_tableau = false;
+  copts.tally = &without_tableau;
+  ASSERT_TRUE(testkit::CompareClassifiers(onto, copts).empty());
+
+  testkit::ClassifierTally timed_out;
+  copts.run_tableau = true;
+  copts.tableau_budget_ms = 0;  // stops before its first sat test
+  copts.tally = &timed_out;
+  ASSERT_TRUE(testkit::CompareClassifiers(onto, copts).empty());
+  EXPECT_EQ(timed_out.tableau_timeouts, 1u);
+  EXPECT_EQ(timed_out.pairs, without_tableau.pairs);
+  EXPECT_EQ(without_tableau.tableau_timeouts, 0u);
+
+  testkit::ClassifierTally finished;
+  copts.tableau_budget_ms = 60000;
+  copts.tally = &finished;
+  ASSERT_TRUE(testkit::CompareClassifiers(onto, copts).empty());
+  EXPECT_EQ(finished.tableau_timeouts, 0u);
+  EXPECT_GT(finished.pairs, without_tableau.pairs);
 }
 
 // Every answer leg on the plain sweep: the columnar evaluator (cold,
