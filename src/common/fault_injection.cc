@@ -22,7 +22,6 @@ uint64_t Mix(uint64_t seed, uint64_t hit) {
 const char* SiteName(Site site) {
   switch (site) {
     case Site::kRdbExecute: return "rdb_execute";
-    case Site::kPoolTask: return "pool_task";
     case Site::kUnfold: return "unfold";
     case Site::kSnapshotBuild: return "snapshot_build";
     case Site::kAdmission: return "admission";

@@ -12,7 +12,6 @@ namespace olite::fault {
 /// Instrumented boundaries where faults can be injected.
 enum class Site : int {
   kRdbExecute = 0,  ///< per select block inside rdb::Execute
-  kPoolTask,        ///< per index of a cancellable ParallelFor
   kUnfold,          ///< per disjunct inside obda::Unfold
   kSnapshotBuild,   ///< per CompiledOntology::Compile (hot-swap builds)
   kAdmission,       ///< per admission attempt in obda::ServingEngine
@@ -48,6 +47,9 @@ struct FaultPlan {
 /// ```
 class Injector {
  public:
+  /// Number of `Site` values; sites are numbered `0 .. kNumSites - 1`.
+  static constexpr int kNumSites = static_cast<int>(Site::kAdmission) + 1;
+
   static Injector& Global();
 
   /// Arms `site` with `plan` and resets its hit counter.
@@ -77,8 +79,6 @@ class Injector {
   }
 
  private:
-  static constexpr int kNumSites = 5;
-
   struct SiteState {
     std::atomic<bool> armed{false};
     std::atomic<uint64_t> hits{0};

@@ -1,197 +1,84 @@
 #ifndef OLITE_COMMON_THREAD_POOL_H_
 #define OLITE_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <mutex>
+#include <exception>
 #include <thread>
 #include <vector>
 
-#include "common/exec_budget.h"
-#include "common/fault_injection.h"
-#include "common/status.h"
-
 namespace olite {
 
-/// Observation hook for ThreadPool activity (see obs::PoolMetricsObserver
-/// for the registry-backed implementation). Callbacks fire from pool
-/// owner/worker threads concurrently; implementations must be
-/// thread-safe. `queued_jobs` is the number of published jobs that still
-/// have unclaimed chunks (the pool's queue depth) at the callback instant.
-class ThreadPoolObserver {
- public:
-  virtual ~ThreadPoolObserver() = default;
-  /// A parallel region was published to the pool.
-  virtual void OnJobStart(size_t queued_jobs) = 0;
-  /// The region completed; `elapsed_us` is its wall-clock duration.
-  virtual void OnJobDone(size_t queued_jobs, double elapsed_us) = 0;
-  /// One chunk body executed (task latency sample).
-  virtual void OnChunk(double elapsed_us) = 0;
-};
-
-/// A fixed-size fork-join task pool for data-parallel loops.
-///
-/// The pool owns `threads - 1` worker threads; the thread calling
-/// `ParallelFor` always participates as the extra worker, so `threads == 1`
-/// is an exact serial fallback (no atomics, no queueing, identical
-/// iteration order). Nested `ParallelFor` calls from inside a chunk are
-/// safe: the nested caller drives its own job and idle workers join
-/// whichever job has chunks left, so no thread ever blocks on work that
-/// cannot progress.
-///
-/// Determinism contract: chunk *assignment* to threads is dynamic, so any
-/// parallel loop must write only to per-index or per-shard state and merge
-/// shard results in a fixed order. All engines in this repo follow that
-/// rule; results are bit-identical at every thread count.
-///
-/// One external (non-worker) thread may issue top-level ParallelFor calls
-/// at a time; this matches the classifier/benchmark drivers, which are
-/// single-threaded outside the pool.
+/// The width of fork-join data-parallel loops. A ThreadPool holds no
+/// threads: each ParallelFor starts the helpers it needs and joins them
+/// before returning, so nested calls are safe and an idle pool costs
+/// nothing.
 class ThreadPool {
  public:
-  /// The default pool width: `hardware_concurrency`, at least 1.
-  static unsigned DefaultThreads();
+  /// The default width: `hardware_concurrency`, at least 1.
+  static unsigned DefaultThreads() {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+  }
 
   /// Resolves a user-facing `threads` knob: 0 means DefaultThreads().
   static unsigned ResolveThreads(unsigned threads) {
     return threads == 0 ? DefaultThreads() : threads;
   }
 
-  /// Creates a pool of `threads` (0 = DefaultThreads()). `threads = 1`
-  /// spawns no workers at all.
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  /// A pool of width `threads` (0 = DefaultThreads()).
+  explicit ThreadPool(unsigned threads = 0)
+      : num_threads_(ResolveThreads(threads)) {}
 
   /// Total execution width, including the calling thread.
   unsigned num_threads() const { return num_threads_; }
 
-  /// Installs a process-wide observer notified of job/chunk activity on
-  /// every pool (nullptr uninstalls). The observer is not owned and must
-  /// outlive the installation. Serial fast paths (`threads == 1`, or a
-  /// range that fits one chunk) bypass the pool and are not observed —
-  /// the hook measures pooled execution, with near-zero overhead when no
-  /// observer is installed (one relaxed load per parallel region).
-  static void SetObserver(ThreadPoolObserver* observer);
-  static ThreadPoolObserver* observer();
-
   /// Invokes `fn(i)` for every `i` in `[begin, end)`, in chunks of `grain`
-  /// indices, across the pool. Blocks until every index is done.
+  /// indices. The calling thread and at most `min(width, chunks) - 1`
+  /// threads started for this call claim chunks from one atomic ticket;
+  /// the call returns once they are joined, so every write of `fn` is
+  /// visible to the caller. Width 1, or a range of one chunk, runs inline
+  /// in index order. Chunk assignment is dynamic, so `fn` must write only
+  /// per-index state to stay deterministic. An exception thrown by `fn`
+  /// on any thread is rethrown to the caller after the join (the caller's
+  /// own first, then the helpers' in start order).
   template <typename Fn>
-  void ParallelFor(size_t begin, size_t end, size_t grain, Fn&& fn) {
-    ParallelForShard(begin, end, grain,
-                     [&fn](unsigned /*shard*/, size_t i) { fn(i); });
-  }
-
-  /// Like ParallelFor, but passes the executing shard id (`< num_threads()`)
-  /// as the first argument. A shard id is held by exactly one thread for
-  /// the duration of the call, so `fn` may use it to index mutex-free
-  /// per-shard scratch buffers.
-  template <typename Fn>
-  void ParallelForShard(size_t begin, size_t end, size_t grain, Fn&& fn) {
+  void ParallelFor(size_t begin, size_t end, size_t grain, Fn&& fn) const {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
-    auto chunk = [&fn](unsigned shard, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) fn(shard, i);
-    };
-    if (num_threads_ == 1 || end - begin <= grain) {
-      chunk(0, begin, end);
+    const size_t chunks = (end - begin - 1) / grain + 1;
+    const size_t width = std::min<size_t>(num_threads_, chunks);
+    if (width == 1) {
+      for (size_t i = begin; i < end; ++i) fn(i);
       return;
     }
-    RunChunked(begin, end, grain, chunk, nullptr);
-  }
-
-  /// Budget-aware, fallible variant of ParallelFor. `fn(i)` returns a
-  /// Status; the first failure (ties broken by the *smallest index*, so
-  /// the merge is deterministic regardless of chunk scheduling) cancels
-  /// the loop: chunks not yet executed are skipped and no new work is
-  /// dispatched. A non-null `budget` is polled cooperatively — its
-  /// cancellation flag on every index, its deadline every 64 indices —
-  /// and exhaustion cancels the loop the same way. Also a fault-injection
-  /// point (`fault::Site::kPoolTask`).
-  ///
-  /// Returns the winning error, or the budget's exhaustion status, or Ok
-  /// when every index ran to completion.
-  template <typename Fn>
-  Status ParallelForCancellable(size_t begin, size_t end, size_t grain,
-                                const ExecBudget* budget, Fn&& fn) {
-    std::atomic<bool> stop{false};
-    std::mutex err_mu;
-    size_t first_index = static_cast<size_t>(-1);
-    Status first_status;
-    auto record = [&](size_t i, Status s) {
-      std::lock_guard<std::mutex> lock(err_mu);
-      if (i < first_index) {
-        first_index = i;
-        first_status = std::move(s);
-      }
-      stop.store(true, std::memory_order_release);
-    };
-    auto body = [&](unsigned /*shard*/, size_t i) {
-      if (stop.load(std::memory_order_acquire)) return;
-      if (budget != nullptr &&
-          (budget->cancelled() || ((i & 0x3F) == 0 && budget->TimeExpired()))) {
-        Status s = budget->Check("parallel_for");
-        if (s.ok()) s = Status::ResourceExhausted("parallel_for: budget");
-        record(i, std::move(s));
-        return;
-      }
-      Status injected = fault::InjectAt(fault::Site::kPoolTask);
-      if (!injected.ok()) {
-        record(i, std::move(injected));
-        return;
-      }
-      Status s = fn(i);
-      if (!s.ok()) record(i, std::move(s));
-    };
-    if (begin < end) {
-      if (grain == 0) grain = 1;
-      auto chunk = [&body](unsigned shard, size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) body(shard, i);
-      };
-      if (num_threads_ == 1 || end - begin <= grain) {
-        for (size_t i = begin; i < end && !stop.load(std::memory_order_acquire);
-             ++i) {
-          body(0, i);
+    std::atomic<size_t> next{begin};
+    std::vector<std::exception_ptr> errors(width);
+    auto drain = [&](size_t slot) {
+      try {
+        size_t b;
+        while ((b = next.fetch_add(grain, std::memory_order_relaxed)) < end) {
+          const size_t e = std::min(b + grain, end);
+          for (size_t i = b; i < e; ++i) fn(i);
         }
-      } else {
-        RunChunked(begin, end, grain, chunk, &stop);
+      } catch (...) {
+        errors[slot] = std::current_exception();
       }
+    };
+    {
+      std::vector<std::jthread> helpers;
+      helpers.reserve(width - 1);
+      for (size_t t = 1; t < width; ++t) helpers.emplace_back(drain, t);
+      drain(0);
     }
-    if (first_index != static_cast<size_t>(-1)) return first_status;
-    if (budget != nullptr) return budget->Check("parallel_for");
-    return Status::Ok();
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
   }
 
  private:
-  struct Job;
-
-  /// Parallel-region driver: publishes a job, participates in it, and
-  /// blocks until all of `[begin, end)` has been executed. A non-null
-  /// `cancel` flag makes workers skip chunk bodies (claims still drain,
-  /// so completion accounting stays exact) once it reads true.
-  void RunChunked(size_t begin, size_t end, size_t grain,
-                  const std::function<void(unsigned, size_t, size_t)>& chunk,
-                  const std::atomic<bool>* cancel);
-
-  /// Executes chunks of `job` until none remain (does not wait for chunks
-  /// claimed by other threads).
-  static void DrainJob(Job* job, unsigned shard);
-
-  void WorkerLoop();
-
-  unsigned num_threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;  ///< signals new jobs, chunk completion, stop
-  std::deque<Job*> jobs_;       ///< jobs with (possibly) unclaimed chunks
-  bool stop_ = false;
+  unsigned num_threads_;
 };
 
 }  // namespace olite

@@ -61,8 +61,9 @@ const char* ClosureEngineName(ClosureEngine engine);
 /// Computes the transitive closure of `g` with the chosen engine.
 /// `g` should be Finalize()d first.
 ///
-/// The `ThreadPool*` parameter is kept for source compatibility only: no
-/// engine uses it, and every engine builds serially.
+/// Every engine builds serially and ignores `pool`; the parameter stays
+/// because the benchmark harness (`perfbench/olite_perfbench.cc`) passes
+/// one.
 std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
                                                   ClosureEngine engine,
                                                   ThreadPool* pool = nullptr);

@@ -238,28 +238,4 @@ std::string MetricsRegistry::ToText() const {
   return out;
 }
 
-// -- PoolMetricsObserver ------------------------------------------------------
-
-PoolMetricsObserver::PoolMetricsObserver(MetricsRegistry* registry)
-    : jobs_(&registry->counter("pool.jobs")),
-      chunks_(&registry->counter("pool.chunks")),
-      job_us_(&registry->histogram("pool.job_us")),
-      chunk_us_(&registry->histogram("pool.chunk_us")),
-      queue_depth_(&registry->gauge("pool.queue_depth")) {}
-
-void PoolMetricsObserver::OnJobStart(size_t queued_jobs) {
-  jobs_->Add(1);
-  queue_depth_->Set(static_cast<double>(queued_jobs));
-}
-
-void PoolMetricsObserver::OnJobDone(size_t queued_jobs, double elapsed_us) {
-  job_us_->Record(elapsed_us);
-  queue_depth_->Set(static_cast<double>(queued_jobs));
-}
-
-void PoolMetricsObserver::OnChunk(double elapsed_us) {
-  chunks_->Add(1);
-  chunk_us_->Record(elapsed_us);
-}
-
 }  // namespace olite::obs

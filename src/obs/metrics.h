@@ -11,8 +11,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/thread_pool.h"
-
 namespace olite::obs {
 
 /// Shard index of the calling thread, in `[0, mod)`. Thread ids are dealt
@@ -165,27 +163,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-};
-
-/// ThreadPool observer backed by a registry: counters `pool.jobs` /
-/// `pool.chunks`, histograms `pool.job_us` / `pool.chunk_us` (task
-/// latency), gauge `pool.queue_depth` (jobs with unclaimed chunks).
-/// Install with `ThreadPool::SetObserver(&observer)`; the observer must
-/// outlive the installation (uninstall with SetObserver(nullptr)).
-class PoolMetricsObserver : public ThreadPoolObserver {
- public:
-  explicit PoolMetricsObserver(MetricsRegistry* registry);
-
-  void OnJobStart(size_t queued_jobs) override;
-  void OnJobDone(size_t queued_jobs, double elapsed_us) override;
-  void OnChunk(double elapsed_us) override;
-
- private:
-  Counter* jobs_;
-  Counter* chunks_;
-  Histogram* job_us_;
-  Histogram* chunk_us_;
-  Gauge* queue_depth_;
 };
 
 }  // namespace olite::obs

@@ -43,23 +43,6 @@ std::string OwlAxiom::ToString(const dllite::Vocabulary& vocab) const {
   return "?";
 }
 
-std::unique_ptr<OwlOntology> OwlOntology::Clone() const {
-  auto copy = std::make_unique<OwlOntology>();
-  copy->vocab_ = vocab_;
-  copy->axioms_.reserve(axioms_.size());
-  for (const auto& ax : axioms_) {
-    OwlAxiom dup;
-    dup.kind = ax.kind;
-    dup.roles = ax.roles;
-    dup.classes.reserve(ax.classes.size());
-    for (const ClassExprPtr& c : ax.classes) {
-      dup.classes.push_back(copy->factory_->Import(c));
-    }
-    copy->axioms_.push_back(std::move(dup));
-  }
-  return copy;
-}
-
 std::string OwlOntology::ToString() const {
   std::string out = "Ontology(\n";
   for (size_t i = 0; i < vocab_.NumConcepts(); ++i) {

@@ -76,11 +76,6 @@ class OwlOntology {
   void AddAxiom(OwlAxiom ax) { axioms_.push_back(std::move(ax)); }
   const std::vector<OwlAxiom>& axioms() const { return axioms_; }
 
-  /// Deep copy with its own expression factory. The expression factory
-  /// mutates (interns) on every lookup, so concurrent reasoners each need
-  /// an ontology they own; ids in the signature are preserved.
-  std::unique_ptr<OwlOntology> Clone() const;
-
   /// Renders the whole ontology in functional-style syntax.
   std::string ToString() const;
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
@@ -13,7 +12,6 @@
 
 #include "common/exec_budget.h"
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
 #include "mapping/mapping.h"
 #include "obda/serving_engine.h"
 #include "obda/system.h"
@@ -401,88 +399,15 @@ TEST_F(FaultInjectionTest, EveryNthPlanIsDeterministic) {
   EXPECT_EQ(fault::Injector::Global().hits(fault::Site::kRdbExecute), hits1);
 }
 
-// --- cancellable ParallelFor ---------------------------------------------
-
-TEST_F(FaultInjectionTest, ParallelForCancellableAllOk) {
-  ThreadPool pool(4);
-  std::atomic<uint64_t> sum{0};
-  Status s = pool.ParallelForCancellable(0, 1000, 16, nullptr, [&](size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-    return Status::Ok();
-  });
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(sum.load(), 1000u * 999u / 2);
-}
-
-TEST_F(FaultInjectionTest, ParallelForCancellableFirstErrorWinsSerial) {
-  ThreadPool pool(1);  // serial: deterministic first-error index
-  std::atomic<uint64_t> executed{0};
-  Status s = pool.ParallelForCancellable(0, 1000, 16, nullptr, [&](size_t i) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    if (i >= 37) return Status::Internal("boom at " + std::to_string(i));
-    return Status::Ok();
-  });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.ToString(), Status::Internal("boom at 37").ToString());
-  EXPECT_LT(executed.load(), 1000u);
-}
-
-TEST_F(FaultInjectionTest, ParallelForCancellableStopsOnError) {
-  ThreadPool pool(4);
-  std::atomic<uint64_t> executed{0};
-  Status s = pool.ParallelForCancellable(0, 100'000, 64, nullptr,
-                                         [&](size_t i) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    if (i == 1000) return Status::Internal("boom");
-    return Status::Ok();
-  });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  // Cancellation propagated: the vast majority of indices were skipped.
-  EXPECT_LT(executed.load(), 100'000u);
-}
-
-TEST_F(FaultInjectionTest, ParallelForCancellableBudgetCancelMidLoop) {
-  ThreadPool pool(4);
-  ExecBudget budget;
-  std::atomic<uint64_t> executed{0};
-  Status s =
-      pool.ParallelForCancellable(0, 100'000, 64, &budget, [&](size_t i) {
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (i == 500) budget.Cancel();
-        return Status::Ok();
-      });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
-  EXPECT_LT(executed.load(), 100'000u);
-}
-
-TEST_F(FaultInjectionTest, ParallelForCancellableInjectedPoolFault) {
-  ThreadPool pool(4);
-  fault::FaultPlan plan;
-  plan.fail_every = 100;
-  fault::Injector::Global().Arm(fault::Site::kPoolTask, plan);
-  std::atomic<uint64_t> executed{0};
-  Status s = pool.ParallelForCancellable(0, 10'000, 32, nullptr,
-                                         [&](size_t /*i*/) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
-  EXPECT_GE(fault::Injector::Global().failures(fault::Site::kPoolTask), 1u);
-  EXPECT_LT(executed.load(), 10'000u);
-}
-
 TEST_F(FaultInjectionTest, SeededPlanIsReproducible) {
   fault::FaultPlan plan;
   plan.fail_every = 512;  // ~50% of hits, seeded draw
   plan.seed = 12345;
   auto run = [&] {
-    fault::Injector::Global().Arm(fault::Site::kPoolTask, plan);
+    fault::Injector::Global().Arm(fault::Site::kUnfold, plan);
     std::vector<bool> failed;
     for (int i = 0; i < 200; ++i) {
-      failed.push_back(!fault::InjectAt(fault::Site::kPoolTask).ok());
+      failed.push_back(!fault::InjectAt(fault::Site::kUnfold).ok());
     }
     return failed;
   };
@@ -550,7 +475,7 @@ TEST_F(FaultInjectionTest, RandomFaultsAcrossAllSitesNeverCrash) {
     fault::FaultPlan plan;
     plan.fail_every = 256;  // ~25% of hits, seeded draws
     plan.seed = seed;
-    for (int s = 0; s < 5; ++s) {
+    for (int s = 0; s < fault::Injector::kNumSites; ++s) {
       fault::Injector::Global().Arm(static_cast<fault::Site>(s), plan);
     }
     for (int i = 0; i < 20; ++i) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -8,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -268,47 +266,6 @@ TEST(MetricsRegistryTest, ConcurrentFindOrCreateAndRecord) {
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(reg.FindHistogram("shared_h")->TakeSnapshot().count,
             static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-// -- PoolMetricsObserver ------------------------------------------------------
-
-TEST(PoolMetricsObserverTest, ObservesPooledParallelFor) {
-  MetricsRegistry reg;
-  PoolMetricsObserver observer(&reg);
-  ThreadPool::SetObserver(&observer);
-  {
-    ThreadPool pool(4);
-    std::atomic<uint64_t> sum{0};
-    // Range >> grain so the call takes the pooled (observed) path.
-    pool.ParallelFor(0, 1000, 10,
-                     [&sum](size_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 1000u * 999u / 2);
-  }
-  ThreadPool::SetObserver(nullptr);
-  EXPECT_EQ(reg.FindCounter("pool.jobs")->Value(), 1u);
-  EXPECT_GE(reg.FindCounter("pool.chunks")->Value(), 2u);
-  EXPECT_EQ(reg.FindHistogram("pool.job_us")->TakeSnapshot().count, 1u);
-  EXPECT_EQ(reg.FindHistogram("pool.chunk_us")->TakeSnapshot().count,
-            reg.FindCounter("pool.chunks")->Value());
-  EXPECT_NE(reg.FindGauge("pool.queue_depth"), nullptr);
-}
-
-TEST(PoolMetricsObserverTest, SerialFastPathIsNotObserved) {
-  MetricsRegistry reg;
-  PoolMetricsObserver observer(&reg);
-  ThreadPool::SetObserver(&observer);
-  {
-    ThreadPool pool(1);  // serial fallback bypasses the pool machinery
-    uint64_t sum = 0;
-    pool.ParallelFor(0, 100, 10, [&sum](size_t i) { sum += i; });
-    EXPECT_EQ(sum, 100u * 99u / 2);
-  }
-  ThreadPool::SetObserver(nullptr);
-  // The observer registers its instruments eagerly; the serial path just
-  // never fires them.
-  EXPECT_EQ(reg.FindCounter("pool.jobs")->Value(), 0u);
-  EXPECT_EQ(reg.FindCounter("pool.chunks")->Value(), 0u);
-  EXPECT_EQ(reg.FindHistogram("pool.job_us")->TakeSnapshot().count, 0u);
 }
 
 // -- Trace sinks --------------------------------------------------------------

@@ -197,38 +197,5 @@ Ontology(
   EXPECT_EQ((*r2)->ToString(), text);
 }
 
-TEST(OntologyTest, CloneIsDeepAndEquivalent) {
-  auto r = ParseOwl(R"(
-Ontology(
-  Declaration(Class(:A))
-  Declaration(Class(:B))
-  Declaration(ObjectProperty(:p))
-  SubClassOf(:A ObjectSomeValuesFrom(:p :B))
-  EquivalentClasses(:A ObjectIntersectionOf(:A :B))
-  DisjointClasses(:A :B)
-  ObjectPropertyDomain(:p :A)
-  SubObjectPropertyOf(:p :q)
-)
-)");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const OwlOntology& original = **r;
-  auto clone = original.Clone();
-  EXPECT_EQ(clone->ToString(), original.ToString());
-  EXPECT_EQ(clone->axioms().size(), original.axioms().size());
-  // The clone owns its expressions: same structure, different factory.
-  for (size_t i = 0; i < original.axioms().size(); ++i) {
-    const auto& orig_classes = original.axioms()[i].classes;
-    const auto& clone_classes = clone->axioms()[i].classes;
-    ASSERT_EQ(orig_classes.size(), clone_classes.size());
-    for (size_t j = 0; j < orig_classes.size(); ++j) {
-      EXPECT_NE(orig_classes[j], clone_classes[j]);
-    }
-  }
-  // Interning into the clone's factory leaves the original untouched.
-  auto c = clone->vocab().InternConcept("CloneOnly");
-  clone->factory().Atomic(c);
-  EXPECT_FALSE(original.vocab().FindConcept("CloneOnly").has_value());
-}
-
 }  // namespace
 }  // namespace olite::owl

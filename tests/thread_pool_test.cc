@@ -5,6 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace olite {
@@ -49,22 +52,38 @@ TEST(ThreadPoolTest, EmptyAndSingletonRanges) {
 }
 
 TEST(ThreadPoolTest, ShardIdsStayBelowWidth) {
-  ThreadPool pool(4);
-  std::vector<unsigned> shard_of(5'000, ~0u);
-  pool.ParallelForShard(0, shard_of.size(), /*grain=*/8,
-                        [&](unsigned shard, size_t i) { shard_of[i] = shard; });
-  for (unsigned s : shard_of) EXPECT_LT(s, pool.num_threads());
+  // fn runs on the caller plus at most `num_threads() - 1` helpers, and at
+  // width 1 on the caller alone.
+  auto threads_seen = [](unsigned width) {
+    ThreadPool pool(width);
+    std::vector<std::thread::id> id_of(5'000);
+    pool.ParallelFor(0, id_of.size(), /*grain=*/8, [&](size_t i) {
+      id_of[i] = std::this_thread::get_id();
+    });
+    return std::set<std::thread::id>(id_of.begin(), id_of.end());
+  };
+  for (unsigned width : {2u, 4u}) {
+    EXPECT_LE(threads_seen(width).size(), width) << "width " << width;
+  }
+  EXPECT_EQ(threads_seen(1),
+            std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
-TEST(ThreadPoolTest, PerShardAccumulationSumsExactly) {
-  ThreadPool pool(3);
-  std::vector<uint64_t> partial(pool.num_threads(), 0);
-  const size_t n = 20'000;
-  pool.ParallelForShard(0, n, /*grain=*/64,
-                        [&](unsigned shard, size_t i) { partial[shard] += i; });
-  uint64_t total = 0;
-  for (uint64_t p : partial) total += p;
-  EXPECT_EQ(total, n * (n - 1) / 2);
+TEST(ThreadPoolTest, ExceptionReachesCallerAfterJoin) {
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool pool(width);
+    std::atomic<size_t> ran{0};
+    EXPECT_THROW(pool.ParallelFor(0, 1'000, /*grain=*/10,
+                                  [&](size_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 555) throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error)
+        << "width " << width;
+    if (width == 1) {
+      EXPECT_EQ(ran.load(), 556u);  // inline, in index order
+    }
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForCompletes) {
