@@ -171,11 +171,10 @@ Classification Classify(const dllite::TBox& tbox,
                         std::move(unsat), stats);
 }
 
-Classification RefreshClassification(const Classification& base,
-                                     const dllite::TBox& tbox,
-                                     const dllite::Vocabulary& vocab,
-                                     const RefreshOptions& options,
-                                     RefreshStats* stats) {
+Classification RefreshClassification(
+    const Classification& base, const dllite::TBox& tbox,
+    const dllite::Vocabulary& vocab,
+    const graph::DynamicClosure::PatchOptions& options, RefreshStats* stats) {
   ClassificationStats cstats;
   Stopwatch sw;
   TBoxGraph g = BuildTBoxGraph(tbox, vocab);
@@ -197,22 +196,19 @@ Classification RefreshClassification(const Classification& base,
 
   auto scratch = [&]() {
     if (stats != nullptr) stats->fell_back_scratch = true;
-    ClassificationOptions copts;
-    copts.engine = graph::ClosureEngine::kDynamic;
-    return Classify(tbox, vocab, copts);
+    return Classify(tbox, vocab);
   };
   if (base_fwd == nullptr || base_rev == nullptr || !layout_stable) {
     return scratch();
   }
 
   sw.Reset();
-  graph::DynamicClosure::PatchOptions popts;
-  popts.fallback_fraction = options.fallback_fraction;
+  const graph::Digraph& base_graph = base.tbox_graph().digraph;
   graph::DynamicClosure::PatchStats fs, rs;
   std::unique_ptr<graph::DynamicClosure> forward =
-      base_fwd->Patched(g.digraph, popts, &fs);
-  std::unique_ptr<graph::DynamicClosure> reverse =
-      base_rev->Patched(g.digraph.Reversed(), popts, &rs);
+      base_fwd->Patched(base_graph, g.digraph, options, &fs);
+  std::unique_ptr<graph::DynamicClosure> reverse = base_rev->Patched(
+      base_graph.Reversed(), g.digraph.Reversed(), options, &rs);
   if (stats != nullptr) {
     stats->fell_back_scratch = fs.fell_back || rs.fell_back;
     stats->patched_nodes = fs.patched_nodes + rs.patched_nodes;

@@ -7,13 +7,15 @@
 #include "core/tbox_graph.h"
 #include "dllite/tbox.h"
 #include "graph/closure.h"
+#include "graph/dynamic_closure.h"
 
 namespace olite::core {
 
 /// Tuning knobs for `Classify`.
 struct ClassificationOptions {
   /// Transitive-closure algorithm (see graph/closure.h). The ablation
-  /// benchmark sweeps this.
+  /// benchmark sweeps this. The default SCC engine's closures are the ones
+  /// `RefreshClassification` can patch.
   graph::ClosureEngine engine = graph::ClosureEngine::kSccMerge;
   /// If false, skip the `computeUnsat` step (Ω_T); the result is then only
   /// complete for TBoxes without unsatisfiable predicates. Used to measure
@@ -145,18 +147,11 @@ Classification Classify(const dllite::TBox& tbox,
                         const dllite::Vocabulary& vocab,
                         const ClassificationOptions& options = {});
 
-/// Tuning knobs for `RefreshClassification`.
-struct RefreshOptions {
-  /// Dirty-node fraction above which the dynamic-closure patch (and hence
-  /// the whole refresh) falls back to a from-scratch merge.
-  double fallback_fraction = 0.25;
-};
-
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.
 struct RefreshStats {
   /// True when the refresh degenerated to a from-scratch classification —
-  /// node-id layout changed (vocabulary grew), the base closures are not
-  /// patchable, or the delta exceeded the fallback fraction.
+  /// node-id layout changed (vocabulary grew), the base closures were
+  /// built with `bfs`, or the delta exceeded the fallback fraction.
   bool fell_back_scratch = false;
   /// Nodes inside re-derived components, summed over forward + reverse.
   uint64_t patched_nodes = 0;
@@ -169,15 +164,16 @@ struct RefreshStats {
 /// reverse closures via `graph::DynamicClosure::Patched` — additions by
 /// re-deriving from the changed arcs' frontiers, removals DRed-style over
 /// the SCC condensation — and re-runs `computeUnsat` on the patched
-/// closures. Falls back to `Classify` (with the dynamic engine, so the
-/// result stays patchable) when node ids shifted, the base is not
-/// patchable, or the delta is too large. The result is always identical
-/// to a from-scratch `Classify` of `tbox`.
-Classification RefreshClassification(const Classification& base,
-                                     const dllite::TBox& tbox,
-                                     const dllite::Vocabulary& vocab,
-                                     const RefreshOptions& options = {},
-                                     RefreshStats* stats = nullptr);
+/// closures. `options.fallback_fraction` is the dirty-node fraction above
+/// which a patch re-merges from scratch. Falls back to a default `Classify`
+/// (whose result stays patchable) when node ids shifted or the base was
+/// built with the `bfs` engine. The result is always identical to a
+/// from-scratch `Classify` of `tbox`.
+Classification RefreshClassification(
+    const Classification& base, const dllite::TBox& tbox,
+    const dllite::Vocabulary& vocab,
+    const graph::DynamicClosure::PatchOptions& options = {},
+    RefreshStats* stats = nullptr);
 
 /// The paper's `computeUnsat` algorithm: returns the per-node
 /// unsatisfiability flags for the TBox underlying `g`, given forward and

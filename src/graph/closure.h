@@ -37,20 +37,20 @@ class TransitiveClosure {
 };
 
 /// Closure algorithm selector, used by benchmarks to ablate the choice.
-/// Every engine builds its closure serially on the calling thread.
+/// Every engine builds its closure serially on the calling thread. There
+/// are two engines: `kSccMerge` and `kDynamic` both name the SCC engine.
 enum class ClosureEngine {
   /// One BFS per source node over the raw adjacency lists. Simple baseline
   /// and the test oracle.
   kBfs,
-  /// Tarjan SCC condensation + reverse-topological merge of sorted
-  /// per-component successor vectors. Memory proportional to the closure
-  /// size; the default engine of `core::Classify`.
+  /// The SCC engine (graph/dynamic_closure.h): Tarjan condensation plus a
+  /// reverse-topological merge of per-component reach lists, each the
+  /// sorted representatives (smallest members) of the downstream
+  /// components. Memory proportional to the condensed closure size; the
+  /// default engine of `core::Classify`. Its closures are patchable in place
+  /// by `core::RefreshClassification`.
   kSccMerge,
-  /// Patchable SCC closure (graph/dynamic_closure.h): node-id-space reach
-  /// vectors shared across `Patched()` generations, enabling incremental
-  /// maintenance under arc deltas. The compile-path engine: ontologies
-  /// compiled for answering are classified with it so that a refresh can
-  /// patch their closures.
+  /// The same SCC engine; the name stays for existing callers.
   kDynamic,
 };
 

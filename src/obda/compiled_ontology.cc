@@ -290,12 +290,10 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
       SourceConstraints::Infer(co->mappings_, *co->database_, *co->db_stats_,
                                copts));
   if (mode == query::RewriteMode::kClassified) {
-    // The dynamic closure engine costs the same as the default from
-    // scratch and is the one `RefreshClassification` can patch in place.
-    core::ClassificationOptions clopts;
-    clopts.engine = graph::ClosureEngine::kDynamic;
+    // The default closure engine is the one `RefreshClassification` can
+    // patch in place.
     co->classification_ = std::make_shared<const core::Classification>(
-        core::Classify(co->ontology_.tbox(), co->ontology_.vocab(), clopts));
+        core::Classify(co->ontology_.tbox(), co->ontology_.vocab()));
   }
   co->BuildRewriters();
   co->ComputeFingerprints();

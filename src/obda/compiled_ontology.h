@@ -116,8 +116,8 @@ class CompiledOntology {
   const SourceConstraints& constraints() const { return *constraints_; }
 
   /// The TBox classification backing kClassified rewriting, built with
-  /// the *dynamic* (incrementally patchable) closure engine. Null in
-  /// kPerfectRef mode, which never classifies.
+  /// the default SCC closure engine, which `Refresh` patches incrementally.
+  /// Null in kPerfectRef mode, which never classifies.
   const core::Classification* classification() const {
     return classification_.get();
   }

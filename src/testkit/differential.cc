@@ -99,19 +99,17 @@ std::vector<std::string> CompareClassifiers(
   ClassifierTally& tally = options.tally != nullptr ? *options.tally : unused;
 
   SubsumptionOracle oracle(onto.tbox(), vocab);
-  core::ClassificationOptions dynamic_opts;
-  dynamic_opts.engine = graph::ClosureEngine::kDynamic;
-  dynamic_opts.threads = 2;
+  core::ClassificationOptions t2_opts;
+  t2_opts.threads = 2;
   core::Classification graph = core::Classify(onto.tbox(), vocab);
-  core::Classification dynamic =
-      core::Classify(onto.tbox(), vocab, dynamic_opts);
+  core::Classification graph_t2 = core::Classify(onto.tbox(), vocab, t2_opts);
   completion::CompletionResult cb =
       completion::ClassifyWithCompletion(onto.tbox(), vocab);
   if (!cb.completed) {
     diffs.push_back("completion classifier did not complete");
     return diffs;
   }
-  // The oracle, graph, dynamic-t2 and completion; the tableau adds one.
+  // The oracle, graph, graph-t2 and completion; the tableau adds one.
   uint64_t compared = 4;
 
   std::optional<uint32_t> mutated_concept;
@@ -125,33 +123,33 @@ std::vector<std::string> CompareClassifiers(
     if (mutated_concept && *mutated_concept == c) graph_supers.clear();
     const std::string what = "SuperConcepts(" + vocab.ConceptName(c) + ")";
     CompareSets(what, want, graph_supers, "graph", &diffs);
-    CompareSets(what, want, dynamic.SuperConcepts(c), "dynamic-t2", &diffs);
+    CompareSets(what, want, graph_t2.SuperConcepts(c), "graph-t2", &diffs);
     CompareSets(what, want, cb.concept_subsumers[c], "completion", &diffs);
   }
   for (uint32_t p = 0; p < nr; ++p) {
     std::vector<uint32_t> want = oracle.SuperRoles(p);
     const std::string what = "SuperRoles(" + vocab.RoleName(p) + ")";
     CompareSets(what, want, graph.SuperRoles(p), "graph", &diffs);
-    CompareSets(what, want, dynamic.SuperRoles(p), "dynamic-t2", &diffs);
+    CompareSets(what, want, graph_t2.SuperRoles(p), "graph-t2", &diffs);
     CompareSets(what, want, cb.role_subsumers[p], "completion", &diffs);
   }
   for (uint32_t u = 0; u < na; ++u) {
     std::vector<uint32_t> want = oracle.SuperAttributes(u);
     const std::string what = "SuperAttributes(" + vocab.AttributeName(u) + ")";
     CompareSets(what, want, graph.SuperAttributes(u), "graph", &diffs);
-    CompareSets(what, want, dynamic.SuperAttributes(u), "dynamic-t2", &diffs);
+    CompareSets(what, want, graph_t2.SuperAttributes(u), "graph-t2", &diffs);
     CompareSets(what, want, cb.attribute_subsumers[u], "completion", &diffs);
   }
   CompareSets("UnsatisfiableConcepts", oracle.UnsatisfiableConcepts(),
               graph.UnsatisfiableConcepts(), "graph", &diffs);
   CompareSets("UnsatisfiableConcepts", oracle.UnsatisfiableConcepts(),
-              dynamic.UnsatisfiableConcepts(), "dynamic-t2", &diffs);
+              graph_t2.UnsatisfiableConcepts(), "graph-t2", &diffs);
   CompareSets("UnsatisfiableConcepts", oracle.UnsatisfiableConcepts(),
               cb.unsatisfiable_concepts, "completion", &diffs);
   CompareSets("UnsatisfiableRoles", oracle.UnsatisfiableRoles(),
               graph.UnsatisfiableRoles(), "graph", &diffs);
   CompareSets("UnsatisfiableRoles", oracle.UnsatisfiableRoles(),
-              dynamic.UnsatisfiableRoles(), "dynamic-t2", &diffs);
+              graph_t2.UnsatisfiableRoles(), "graph-t2", &diffs);
   CompareSets("UnsatisfiableRoles", oracle.UnsatisfiableRoles(),
               cb.unsatisfiable_roles, "completion", &diffs);
 

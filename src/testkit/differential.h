@@ -50,12 +50,11 @@ struct ClassifierDiffOptions {
 };
 
 /// Differential classification, refereed by the brute-force
-/// `SubsumptionOracle`: graph (core::Classify, serial `scc_merge`),
-/// `dynamic-t2` (core::Classify with the compile-path `dynamic` engine at
-/// `threads = 2`, so the forward and reverse closures are built
-/// concurrently), completion (consequence-based) and, optionally, tableau
-/// (through the OWL translation). Subsumer sets and unsatisfiable-predicate
-/// sets must agree exactly. Returns human-readable discrepancy
+/// `SubsumptionOracle`: graph (core::Classify, serial), `graph-t2`
+/// (core::Classify at `threads = 2`, so the forward and reverse closures
+/// are built concurrently), completion (consequence-based) and, optionally,
+/// tableau (through the OWL translation). Subsumer sets and
+/// unsatisfiable-predicate sets must agree exactly. Returns human-readable discrepancy
 /// descriptions; empty = full agreement.
 std::vector<std::string> CompareClassifiers(
     const dllite::Ontology& onto, const ClassifierDiffOptions& options = {});

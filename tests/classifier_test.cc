@@ -525,8 +525,8 @@ Classification DynamicClassify(const dllite::Ontology& onto) {
   return Classify(onto.tbox(), onto.vocab(), opts);
 }
 
-RefreshOptions PatchAlways() {
-  RefreshOptions o;
+graph::DynamicClosure::PatchOptions PatchAlways() {
+  graph::DynamicClosure::PatchOptions o;
   o.fallback_fraction = 1.0;
   return o;
 }
@@ -615,14 +615,30 @@ TEST(RefreshClassificationTest, LayoutShiftFallsBackToScratch) {
 TEST(RefreshClassificationTest, NonPatchableBaseFallsBackToScratch) {
   Ontology base = MustParse("concept A B C\nA <= B\n");
   Ontology next = MustParse("concept A B C\nA <= B\nB <= C\n");
-  // Default engine: the base closure is not a DynamicClosure, so the
-  // refresh cannot patch it.
-  Classification cls = Classify(base.tbox(), base.vocab());
+  // The bfs engine's closure is not a DynamicClosure, so the refresh
+  // cannot patch it.
+  ClassificationOptions bfs;
+  bfs.engine = graph::ClosureEngine::kBfs;
+  Classification cls = Classify(base.tbox(), base.vocab(), bfs);
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
       cls, next.tbox(), next.vocab(), PatchAlways(), &stats);
   EXPECT_TRUE(stats.fell_back_scratch);
+  ExpectSameClassification(refreshed, next);
+}
+
+TEST(RefreshClassificationTest, DefaultEngineBaseIsPatched) {
+  Ontology base = MustParse("concept A B C D\nA <= B\n");
+  Ontology next = MustParse("concept A B C D\nA <= B\nC <= D\n");
+  Classification cls = Classify(base.tbox(), base.vocab());
+
+  RefreshStats stats;
+  Classification refreshed = RefreshClassification(
+      cls, next.tbox(), next.vocab(), PatchAlways(), &stats);
+  EXPECT_FALSE(stats.fell_back_scratch);
+  EXPECT_GT(stats.patched_nodes, 0u);
+  EXPECT_GT(stats.reused_components, 0u);
   ExpectSameClassification(refreshed, next);
 }
 
@@ -635,13 +651,13 @@ TEST(RefreshClassificationTest, LargeDeltaFallsBackByFraction) {
   Classification cls = DynamicClassify(base);
 
   RefreshStats stats;
-  RefreshOptions tight;
+  graph::DynamicClosure::PatchOptions tight;
   tight.fallback_fraction = 0.1;
   Classification refreshed = RefreshClassification(
       cls, next.tbox(), next.vocab(), tight, &stats);
   EXPECT_TRUE(stats.fell_back_scratch);
   ExpectSameClassification(refreshed, next);
-  // The fallback classifies with the dynamic engine, so the *next* delta
+  // The fallback classifies with the default engine, so the *next* delta
   // can patch again.
   Ontology after =
       MustParse("concept A B C D\nA <= B\nB <= C\nC <= D\n");
