@@ -3,35 +3,101 @@
 #include <algorithm>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "graph/dynamic_closure.h"
+#include "graph/scc.h"
 
 namespace olite::core {
 
 namespace {
 
-// Sorted predecessor set of `n` under `reverse`, made reflexive
-// (pred*(n) always contains n itself since T ⊨ S ⊑ S).
-std::vector<graph::NodeId> ReflexivePredecessors(
-    const graph::TransitiveClosure& reverse, graph::NodeId n) {
-  std::vector<graph::NodeId> preds = reverse.ReachableFrom(n);
-  auto it = std::lower_bound(preds.begin(), preds.end(), n);
-  if (it == preds.end() || *it != n) preds.insert(it, n);
-  return preds;
+// Negative inclusions per bitset pass: the bitsets cost O(components ×
+// kNiBlockWords) words, whatever the number of NIs.
+constexpr size_t kNiBlockWords = 4;
+constexpr size_t kNiBlockBits = 64 * kNiBlockWords;
+
+// Marks, through `mark`, every node below both sides of a negative
+// inclusion (the seed rule) and the lhs of every qualified existential
+// whose forced successor falls below both sides of one (the QE rule).
+template <typename Mark>
+void SeedUnsat(const TBoxGraph& g, Mark mark) {
+  const NodeTable& nt = g.nodes;
+  const std::vector<NegativeInclusion>& nis = g.negative_inclusions;
+  // Per component c of the digraph and per NI i of the current block:
+  // bit i of L_c is set iff lhs_i ∈ up*(c), bit i of R_c iff rhs_i ∈ up*(c)
+  // (up* = reflexive-transitive successors). Component ids are reverse
+  // topological, so ascending ids see every successor component complete.
+  const graph::SccResult scc = graph::ComputeScc(g.digraph);
+  const size_t num_components = scc.NumComponents();
+  std::vector<uint64_t> lhs_bits;
+  std::vector<uint64_t> rhs_bits;
+  for (size_t first = 0; first < nis.size(); first += kNiBlockBits) {
+    const size_t count = std::min(nis.size() - first, kNiBlockBits);
+    const size_t words = (count + 63) / 64;
+    lhs_bits.assign(num_components * words, 0);
+    rhs_bits.assign(num_components * words, 0);
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t bit = uint64_t{1} << (i % 64);
+      lhs_bits[scc.component_of[nis[first + i].lhs] * words + i / 64] |= bit;
+      rhs_bits[scc.component_of[nis[first + i].rhs] * words + i / 64] |= bit;
+    }
+    auto meet = [&](const uint64_t* l, const uint64_t* r) {
+      for (size_t k = 0; k < words; ++k) {
+        if ((l[k] & r[k]) != 0) return true;
+      }
+      return false;
+    };
+    for (graph::NodeId c = 0; c < num_components; ++c) {
+      uint64_t* l = &lhs_bits[c * words];
+      uint64_t* r = &rhs_bits[c * words];
+      for (graph::NodeId v : scc.members[c]) {
+        for (graph::NodeId w : g.digraph.Successors(v)) {
+          const graph::NodeId d = scc.component_of[w];
+          if (d == c) continue;
+          for (size_t k = 0; k < words; ++k) {
+            l[k] |= lhs_bits[d * words + k];
+            r[k] |= rhs_bits[d * words + k];
+          }
+        }
+      }
+      // Seed rule: a predicate subsumed by both sides of an NI is empty.
+      if (meet(l, r)) {
+        for (graph::NodeId v : scc.members[c]) mark(v);
+      }
+    }
+
+    // Qualified-existential successor rule (the paper's "remaining
+    // challenge"): the successor forced by B ⊑ ∃Q.A lies in
+    // up*(A) ∪ up*(∃Q⁻), which already holds ∃r⁻ for every super-role r of
+    // Q (Definition 1 adds (∃Q1⁻, ∃Q2⁻) for each Q1 ⊑ Q2). If both sides of
+    // an NI fall in that union the successor is contradictory and B is
+    // unsatisfiable. (An *unsatisfiable* member of the union is handled by
+    // the fixpoint rules in ComputeUnsat.)
+    std::vector<uint64_t> l(words), r(words);
+    for (const auto& qe : g.qualified_existentials) {
+      const size_t a = scc.component_of[nt.OfConcept(qe.filler)] * words;
+      const size_t e =
+          scc.component_of[nt.OfExists(qe.role.Inverted())] * words;
+      for (size_t k = 0; k < words; ++k) {
+        l[k] = lhs_bits[a + k] | lhs_bits[e + k];
+        r[k] = rhs_bits[a + k] | rhs_bits[e + k];
+      }
+      if (meet(l.data(), r.data())) mark(qe.lhs);
+    }
+  }
 }
 
 }  // namespace
 
-std::vector<bool> ComputeUnsat(const TBoxGraph& g,
-                               const graph::TransitiveClosure& forward,
-                               const graph::TransitiveClosure& reverse) {
-  const graph::NodeId n = g.nodes.NumNodes();
-  std::vector<bool> unsat(n, false);
-  std::vector<graph::NodeId> worklist;
+std::vector<bool> ComputeUnsat(const TBoxGraph& g) {
+  const NodeTable& nt = g.nodes;
+  std::vector<bool> unsat(nt.NumNodes(), false);
+  // Without a negative inclusion every predicate is satisfiable.
+  if (g.negative_inclusions.empty()) return unsat;
 
+  std::vector<graph::NodeId> worklist;
   auto mark = [&](graph::NodeId x) {
     if (!unsat[x]) {
       unsat[x] = true;
@@ -39,80 +105,47 @@ std::vector<bool> ComputeUnsat(const TBoxGraph& g,
     }
   };
 
-  // Seeds: for each negative inclusion S1 ⊑ ¬S2, every predicate that is
-  // (transitively, reflexively) subsumed by both sides is unsatisfiable.
-  for (const auto& ni : g.negative_inclusions) {
-    std::vector<graph::NodeId> p1 = ReflexivePredecessors(reverse, ni.lhs);
-    std::vector<graph::NodeId> p2 = ReflexivePredecessors(reverse, ni.rhs);
-    std::vector<graph::NodeId> both;
-    std::set_intersection(p1.begin(), p1.end(), p2.begin(), p2.end(),
-                          std::back_inserter(both));
-    for (graph::NodeId x : both) mark(x);
-  }
-
-  // Qualified-existential successor rule (the paper's "remaining
-  // challenge"): the anonymous successor forced by B ⊑ ∃Q.A belongs to
-  // the upward closure of {A} ∪ {∃r⁻ : Q ⊑* r}; if a negative inclusion
-  // has both sides inside that closure, the successor is contradictory
-  // and B is unsatisfiable. (An *unsatisfiable* member of the closure is
-  // handled by the fixpoint rules below.)
-  for (const auto& qe : g.qualified_existentials) {
-    std::unordered_set<graph::NodeId> memberships;
-    auto add_up = [&](graph::NodeId m) {
-      memberships.insert(m);
-      for (graph::NodeId v : forward.ReachableFrom(m)) memberships.insert(v);
-    };
-    add_up(g.nodes.OfConcept(qe.filler));
-    add_up(g.nodes.OfExists(qe.role.Inverted()));
-    for (graph::NodeId v :
-         forward.ReachableFrom(g.nodes.OfRole(qe.role))) {
-      if (g.nodes.KindOf(v) == NodeKind::kRole) {
-        add_up(g.nodes.OfExists(g.nodes.RoleOf(v).Inverted()));
-      }
-    }
-    for (const auto& ni : g.negative_inclusions) {
-      if (memberships.count(ni.lhs) > 0 && memberships.count(ni.rhs) > 0) {
-        mark(qe.lhs);
-        break;
-      }
-    }
-  }
+  // The SCCs and bitsets are released before the fixpoint allocates.
+  SeedUnsat(g, mark);
+  if (worklist.empty()) return unsat;
 
   // Index: filler concept -> LHS nodes of qualified existentials, for the
   // rule "B ⊑ ∃Q.A and A unsatisfiable ⇒ B unsatisfiable".
   std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> qe_by_filler;
   for (const auto& qe : g.qualified_existentials) {
-    qe_by_filler[g.nodes.OfConcept(qe.filler)].push_back(qe.lhs);
+    qe_by_filler[nt.OfConcept(qe.filler)].push_back(qe.lhs);
   }
 
   // Fixpoint propagation.
+  const graph::Digraph reversed = g.digraph.Reversed();
   while (!worklist.empty()) {
     graph::NodeId x = worklist.back();
     worklist.pop_back();
 
-    // Everything subsumed by an unsatisfiable predicate is unsatisfiable.
-    for (graph::NodeId u : reverse.ReachableFrom(x)) mark(u);
+    // Everything subsumed by an unsatisfiable predicate is unsatisfiable;
+    // following raw in-arcs from every marked node reaches all of it.
+    for (graph::NodeId u : reversed.Successors(x)) mark(u);
 
-    switch (g.nodes.KindOf(x)) {
+    switch (nt.KindOf(x)) {
       case NodeKind::kRole: {
         // An empty role has an empty inverse and empty domain/range.
-        dllite::BasicRole q = g.nodes.RoleOf(x);
-        mark(g.nodes.OfRole(q.Inverted()));
-        mark(g.nodes.OfExists(q));
-        mark(g.nodes.OfExists(q.Inverted()));
+        dllite::BasicRole q = nt.RoleOf(x);
+        mark(nt.OfRole(q.Inverted()));
+        mark(nt.OfExists(q));
+        mark(nt.OfExists(q.Inverted()));
         break;
       }
       case NodeKind::kExists: {
         // An empty domain (or range) forces the role itself to be empty;
         // the kRole rule then empties the remaining components.
-        mark(g.nodes.OfRole(g.nodes.RoleOf(x)));
+        mark(nt.OfRole(nt.RoleOf(x)));
         break;
       }
       case NodeKind::kAttribute:
-        mark(g.nodes.OfAttrDomain(g.nodes.AttributeOf(x)));
+        mark(nt.OfAttrDomain(nt.AttributeOf(x)));
         break;
       case NodeKind::kAttrDomain:
-        mark(g.nodes.OfAttribute(g.nodes.AttributeOf(x)));
+        mark(nt.OfAttribute(nt.AttributeOf(x)));
         break;
       case NodeKind::kConcept: {
         // B ⊑ ∃Q.A with unsatisfiable filler A empties B. (An
@@ -127,6 +160,12 @@ std::vector<bool> ComputeUnsat(const TBoxGraph& g,
     }
   }
   return unsat;
+}
+
+std::vector<bool> ComputeUnsat(const TBoxGraph& g,
+                               const graph::TransitiveClosure& /*forward*/,
+                               const graph::TransitiveClosure& /*reverse*/) {
+  return ComputeUnsat(g);
 }
 
 Classification Classify(const dllite::TBox& tbox,
@@ -161,7 +200,7 @@ Classification Classify(const dllite::TBox& tbox,
 
   sw.Reset();
   std::vector<bool> unsat = options.compute_unsat
-                                ? ComputeUnsat(g, *forward, *reverse)
+                                ? ComputeUnsat(g)
                                 : std::vector<bool>(g.nodes.NumNodes(), false);
   stats.unsat_ms = sw.ElapsedMillis();
   stats.num_unsat_nodes =
@@ -218,7 +257,7 @@ Classification RefreshClassification(
   cstats.num_closure_arcs = forward->NumClosureArcs();
 
   sw.Reset();
-  std::vector<bool> unsat = ComputeUnsat(g, *forward, *reverse);
+  std::vector<bool> unsat = ComputeUnsat(g);
   cstats.unsat_ms = sw.ElapsedMillis();
   cstats.num_unsat_nodes =
       static_cast<uint64_t>(std::count(unsat.begin(), unsat.end(), true));

@@ -163,9 +163,9 @@ struct RefreshStats {
 /// rebuilds the (linear-size) TBox digraph, patches the forward and
 /// reverse closures via `graph::DynamicClosure::Patched` — additions by
 /// re-deriving from the changed arcs' frontiers, removals DRed-style over
-/// the SCC condensation — and re-runs `computeUnsat` on the patched
-/// closures. `options.fallback_fraction` is the dirty-node fraction above
-/// which a patch re-merges from scratch. Falls back to a default `Classify`
+/// the SCC condensation — and re-runs `computeUnsat`.
+/// `options.fallback_fraction` is the dirty-node fraction above which a
+/// patch re-merges from scratch. Falls back to a default `Classify`
 /// (whose result stays patchable) when node ids shifted or the base was
 /// built with the `bfs` engine. The result is always identical to a
 /// from-scratch `Classify` of `tbox`.
@@ -175,9 +175,18 @@ Classification RefreshClassification(
     const graph::DynamicClosure::PatchOptions& options = {},
     RefreshStats* stats = nullptr);
 
-/// The paper's `computeUnsat` algorithm: returns the per-node
-/// unsatisfiability flags for the TBox underlying `g`, given forward and
-/// reverse closures of its digraph.
+/// The paper's `computeUnsat` algorithm (Ω_T): returns the per-node
+/// unsatisfiability flags for the TBox underlying `g`. One Tarjan pass
+/// over `g.digraph`, then per block of negative inclusions one bitset
+/// sweep over the components in reverse topological order (the seed and
+/// qualified-existential rules), then a worklist fixpoint over the raw
+/// in-arcs. O((n + m) · |NI| / 64) time and O(components) words of memory;
+/// a TBox without negative inclusions costs O(n).
+std::vector<bool> ComputeUnsat(const TBoxGraph& g);
+
+/// Same as `ComputeUnsat(g)`; the closures are not read. Kept because the
+/// perfbench harness (perfbench/olite_perfbench.cc) times the unsat step
+/// through this signature.
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
                                const graph::TransitiveClosure& forward,
                                const graph::TransitiveClosure& reverse);

@@ -9,9 +9,8 @@ namespace olite::core {
 namespace {
 
 // TransitiveClosure adapter that answers every query with a fresh BFS over
-// the underlying digraph. Used by ReachabilityMode::kOnDemand so that the
-// unsatisfiability fixpoint and all entailment queries share one code path
-// with the precomputed engines.
+// the underlying digraph. Used by ReachabilityMode::kOnDemand so that all
+// entailment queries share one code path with the precomputed engine.
 class OnDemandReachability : public graph::TransitiveClosure {
  public:
   explicit OnDemandReachability(const graph::Digraph& g) : g_(g) {}
@@ -75,15 +74,10 @@ ImplicationChecker::ImplicationChecker(const dllite::TBox& tbox,
   if (mode == ReachabilityMode::kPrecomputed) {
     forward_ =
         graph::ComputeClosure(graph_.digraph, graph::ClosureEngine::kSccMerge);
-    reverse_ = graph::ComputeClosure(graph_.digraph.Reversed(),
-                                     graph::ClosureEngine::kSccMerge);
   } else {
     forward_ = std::make_unique<OnDemandReachability>(graph_.digraph);
-    // The reverse digraph must outlive the adapter; materialise it once.
-    reversed_storage_ = graph_.digraph.Reversed();
-    reverse_ = std::make_unique<OnDemandReachability>(reversed_storage_);
   }
-  unsat_ = ComputeUnsat(graph_, *forward_, *reverse_);
+  unsat_ = ComputeUnsat(graph_);
 }
 
 ImplicationChecker::~ImplicationChecker() = default;

@@ -38,8 +38,8 @@ class ImplicationChecker {
                      ReachabilityMode mode = ReachabilityMode::kOnDemand);
   ~ImplicationChecker();
 
-  // Not movable: the on-demand reachability adapters hold references into
-  // the member digraphs.
+  // Not movable: the on-demand reachability adapter holds a reference into
+  // the member digraph.
   ImplicationChecker(ImplicationChecker&&) = delete;
   ImplicationChecker& operator=(ImplicationChecker&&) = delete;
 
@@ -69,10 +69,7 @@ class ImplicationChecker {
                                    dllite::ConceptId filler) const;
 
   TBoxGraph graph_;
-  /// Owns the reversed digraph when the on-demand adapters reference it.
-  graph::Digraph reversed_storage_;
   std::unique_ptr<graph::TransitiveClosure> forward_;
-  std::unique_ptr<graph::TransitiveClosure> reverse_;
   std::vector<bool> unsat_;
 };
 

@@ -83,6 +83,24 @@ Taxonomy Taxonomy::Build(const Classification& classification) {
     std::sort(node.direct_parents.begin(), node.direct_parents.end());
     std::sort(node.direct_children.begin(), node.direct_children.end());
   }
+
+  // Depths in topological order (Kahn, from the roots): a node is settled
+  // once all of its parents are, so each edge is relaxed exactly once.
+  out.depth_.assign(m, 0);
+  std::vector<size_t> pending(m);
+  std::vector<uint32_t> ready;
+  for (uint32_t i = 0; i < m; ++i) {
+    pending[i] = out.nodes_[i].direct_parents.size();
+    if (pending[i] == 0) ready.push_back(i);
+  }
+  while (!ready.empty()) {
+    uint32_t i = ready.back();
+    ready.pop_back();
+    for (uint32_t child : out.nodes_[i].direct_children) {
+      out.depth_[child] = std::max(out.depth_[child], out.depth_[i] + 1);
+      if (--pending[child] == 0) ready.push_back(child);
+    }
+  }
   return out;
 }
 
@@ -92,14 +110,6 @@ std::vector<uint32_t> Taxonomy::Roots() const {
     if (nodes_[i].direct_parents.empty()) out.push_back(i);
   }
   return out;
-}
-
-unsigned Taxonomy::DepthOf(uint32_t node) const {
-  unsigned depth = 0;
-  for (uint32_t p : nodes_[node].direct_parents) {
-    depth = std::max(depth, DepthOf(p) + 1);
-  }
-  return depth;
 }
 
 std::string Taxonomy::ToString(const dllite::Vocabulary& vocab) const {

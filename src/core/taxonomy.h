@@ -38,7 +38,8 @@ class Taxonomy {
   std::vector<uint32_t> Roots() const;
 
   /// Length of the longest parent chain above `node` (roots have depth 0).
-  unsigned DepthOf(uint32_t node) const;
+  /// Computed once in `Build`.
+  unsigned DepthOf(uint32_t node) const { return depth_[node]; }
 
   /// Indented text rendering of the hierarchy (roots first).
   std::string ToString(const dllite::Vocabulary& vocab) const;
@@ -46,6 +47,7 @@ class Taxonomy {
  private:
   std::vector<Node> nodes_;
   std::vector<uint32_t> node_of_;
+  std::vector<unsigned> depth_;
   std::vector<dllite::ConceptId> unsatisfiable_;
 };
 

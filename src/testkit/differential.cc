@@ -19,6 +19,7 @@
 #include "reasoner/tableau_classifier.h"
 #include "testkit/chase_oracle.h"
 #include "testkit/reference_eval.h"
+#include "testkit/reference_unsat.h"
 #include "testkit/subsumption_oracle.h"
 
 namespace olite::testkit {
@@ -152,6 +153,19 @@ std::vector<std::string> CompareClassifiers(
               graph_t2.UnsatisfiableRoles(), "graph-t2", &diffs);
   CompareSets("UnsatisfiableRoles", oracle.UnsatisfiableRoles(),
               cb.unsatisfiable_roles, "completion", &diffs);
+  // Ω_T on every node — ∃, inverse-role, δ and attribute nodes included,
+  // which the listings above never show — against the closure-based
+  // reference computeUnsat.
+  const core::TBoxGraph& tg = graph.tbox_graph();
+  const std::vector<bool> reference_unsat =
+      ReferenceUnsat(tg, graph.closure(), graph.reverse_closure());
+  std::vector<uint32_t> want_nodes, graph_nodes;
+  for (uint32_t x = 0; x < tg.nodes.NumNodes(); ++x) {
+    if (reference_unsat[x]) want_nodes.push_back(x);
+    if (graph.IsUnsatNode(x)) graph_nodes.push_back(x);
+  }
+  CompareSets("UnsatisfiableNodes (reference computeUnsat)", want_nodes,
+              graph_nodes, "graph", &diffs);
 
   if (options.run_tableau) {
     auto owl = owl::OwlFromDlLite(onto.tbox(), vocab);

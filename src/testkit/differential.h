@@ -54,7 +54,10 @@ struct ClassifierDiffOptions {
 /// (core::Classify at `threads = 2`, so the forward and reverse closures
 /// are built concurrently), completion (consequence-based) and, optionally,
 /// tableau (through the OWL translation). Subsumer sets and
-/// unsatisfiable-predicate sets must agree exactly. Returns human-readable discrepancy
+/// unsatisfiable-predicate sets must agree exactly. A node-level leg also
+/// checks graph's unsatisfiability flag on every digraph node against
+/// `ReferenceUnsat` (testkit/reference_unsat.h); it checks one engine and
+/// adds no classifier pair to the tally. Returns human-readable discrepancy
 /// descriptions; empty = full agreement.
 std::vector<std::string> CompareClassifiers(
     const dllite::Ontology& onto, const ClassifierDiffOptions& options = {});

@@ -8,6 +8,7 @@
 #include "core/classifier.h"
 #include "owl/from_dllite.h"
 #include "reasoner/tableau_classifier.h"
+#include "testkit/reference_unsat.h"
 #include "testkit/sweep.h"
 
 namespace olite::benchgen {
@@ -117,6 +118,19 @@ TEST(ProfilesTest, ScaledProfilesGenerateAndClassify) {
     uint64_t graph_count = cls.CountNamedSubsumptions();
     uint64_t completion_count = cr.NumSubsumptions();
     EXPECT_EQ(graph_count, completion_count) << profile.config.name;
+  }
+}
+
+TEST(ProfilesTest, ComputeUnsatMatchesReferenceOnAllTwins) {
+  // The bitset computeUnsat against the closure-based reference, node by
+  // node, on every Figure-1 twin at quarter scale.
+  for (const auto& profile : PaperProfiles(0.25)) {
+    dllite::Ontology onto = Generate(profile.config);
+    core::Classification cls = core::Classify(onto.tbox(), onto.vocab());
+    const core::TBoxGraph& g = cls.tbox_graph();
+    std::vector<bool> want =
+        testkit::ReferenceUnsat(g, cls.closure(), cls.reverse_closure());
+    EXPECT_EQ(core::ComputeUnsat(g), want) << profile.config.name;
   }
 }
 

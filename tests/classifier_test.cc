@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "core/classifier.h"
 #include "core/deductive_closure.h"
 #include "core/node_table.h"
 #include "dllite/ontology.h"
+#include "testkit/reference_unsat.h"
 
 namespace olite::core {
 namespace {
@@ -126,11 +130,28 @@ class ClassifyEngineTest
     o.engine = GetParam();
     return o;
   }
+  // `kDynamic` names the same engine as `kSccMerge`, so its instantiation
+  // classifies incrementally instead: `RefreshClassification` from an empty
+  // TBox over the same vocabulary, patching every arc in (no scratch
+  // fallback). Each case then also covers the refresh path.
+  Classification Run(const Ontology& onto) const {
+    if (GetParam() != graph::ClosureEngine::kDynamic) {
+      return Classify(onto.tbox(), onto.vocab(), Opts());
+    }
+    Classification empty = Classify(dllite::TBox(), onto.vocab());
+    graph::DynamicClosure::PatchOptions patch;
+    patch.fallback_fraction = 1.0;
+    RefreshStats stats;
+    Classification out = RefreshClassification(empty, onto.tbox(),
+                                               onto.vocab(), patch, &stats);
+    EXPECT_FALSE(stats.fell_back_scratch);
+    return out;
+  }
 };
 
 TEST_P(ClassifyEngineTest, TransitiveConceptChain) {
   Ontology onto = MustParse("concept A1 A2 A3\nA1 <= A2\nA2 <= A3\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   // The paper's introductory example: A1 ⊑ A3 is inferred.
   EXPECT_TRUE(cls.Entails(BasicConcept::Atomic(0), BasicConcept::Atomic(2)));
   EXPECT_FALSE(cls.Entails(BasicConcept::Atomic(2), BasicConcept::Atomic(0)));
@@ -141,7 +162,7 @@ TEST_P(ClassifyEngineTest, TransitiveConceptChain) {
 TEST_P(ClassifyEngineTest, RoleHierarchyPropagatesToDomains) {
   Ontology onto = MustParse(
       "concept A B\nrole P Q\nP <= Q\nexists Q <= A\nexists P- <= B\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   // ∃P ⊑ ∃Q ⊑ A.
   EXPECT_TRUE(cls.Entails(BasicConcept::Exists(BasicRole::Direct(0)),
                           BasicConcept::Atomic(0)));
@@ -158,7 +179,7 @@ TEST_P(ClassifyEngineTest, RoleHierarchyPropagatesToDomains) {
 
 TEST_P(ClassifyEngineTest, EquivalentConceptsViaCycle) {
   Ontology onto = MustParse("concept A B C\nA <= B\nB <= A\nB <= C\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.Entails(BasicConcept::Atomic(0), BasicConcept::Atomic(1)));
   EXPECT_TRUE(cls.Entails(BasicConcept::Atomic(1), BasicConcept::Atomic(0)));
   EXPECT_TRUE(cls.Entails(BasicConcept::Atomic(0), BasicConcept::Atomic(2)));
@@ -168,7 +189,7 @@ TEST_P(ClassifyEngineTest, EquivalentConceptsViaCycle) {
 TEST_P(ClassifyEngineTest, AttributeHierarchy) {
   Ontology onto = MustParse(
       "concept A\nattribute u w\nu <= w\ndelta(w) <= A\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.EntailsAttribute(0, 1));
   EXPECT_FALSE(cls.EntailsAttribute(1, 0));
   // δ(u) ⊑ δ(w) ⊑ A.
@@ -182,7 +203,7 @@ TEST_P(ClassifyEngineTest, QualifiedExistentialGivesUnqualifiedDomain) {
       "concept County State Region\nrole isPartOf\n"
       "County <= exists isPartOf . State\n"
       "exists isPartOf <= Region\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   // County ⊑ ∃isPartOf ⊑ Region.
   EXPECT_TRUE(cls.Entails(BasicConcept::Atomic(0), BasicConcept::Atomic(2)));
 }
@@ -193,7 +214,7 @@ TEST_P(ClassifyEngineTest, QualifiedExistentialGivesUnqualifiedDomain) {
 
 TEST_P(ClassifyEngineTest, DirectContradictionIsUnsat) {
   Ontology onto = MustParse("concept A B C\nA <= B\nA <= C\nB <= not C\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(0)));
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicConcept::Atomic(1)));
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicConcept::Atomic(2)));
@@ -205,7 +226,7 @@ TEST_P(ClassifyEngineTest, DirectContradictionIsUnsat) {
 
 TEST_P(ClassifyEngineTest, SelfDisjointConceptIsUnsat) {
   Ontology onto = MustParse("concept A B\nB <= A\nA <= not A\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(0)));
   // Subsumees of an unsatisfiable concept are unsatisfiable.
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(1)));
@@ -213,7 +234,7 @@ TEST_P(ClassifyEngineTest, SelfDisjointConceptIsUnsat) {
 
 TEST_P(ClassifyEngineTest, UnsatRolePropagatesToComponents) {
   Ontology onto = MustParse("concept A\nrole P Q\nP <= Q\nP <= not Q\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicRole::Direct(0)));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicRole::Inverse(0)));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Exists(BasicRole::Direct(0))));
@@ -226,7 +247,7 @@ TEST_P(ClassifyEngineTest, UnsatRolePropagatesToComponents) {
 TEST_P(ClassifyEngineTest, EmptyDomainEmptiesRole) {
   Ontology onto = MustParse(
       "concept A\nrole P\nexists P <= A\nexists P <= not A\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Exists(BasicRole::Direct(0))));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicRole::Direct(0)));
   EXPECT_TRUE(
@@ -238,7 +259,7 @@ TEST_P(ClassifyEngineTest, UnsatFillerEmptiesQualifiedLhs) {
       "concept A B C\nrole P\n"
       "B <= C\nB <= not C\n"        // B is unsatisfiable
       "A <= exists P . B\n");       // hence A is too
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(1)));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(0)));
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicConcept::Atomic(2)));
@@ -249,7 +270,7 @@ TEST_P(ClassifyEngineTest, UnsatRoleInQualifiedExistentialEmptiesLhs) {
       "concept A B\nrole P\n"
       "P <= not P\n"              // P is unsatisfiable
       "A <= exists P . B\n");     // hence A is too
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicRole::Direct(0)));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(0)));
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicConcept::Atomic(1)));
@@ -258,7 +279,7 @@ TEST_P(ClassifyEngineTest, UnsatRoleInQualifiedExistentialEmptiesLhs) {
 TEST_P(ClassifyEngineTest, UnsatAttributePropagatesToDomain) {
   Ontology onto = MustParse(
       "concept A\nattribute u w\nu <= w\nu <= not w\ndelta(u) <= A\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_EQ(cls.UnsatisfiableAttributes(),
             (std::vector<dllite::AttributeId>{0}));
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::AttrDomain(0)));
@@ -274,7 +295,7 @@ TEST_P(ClassifyEngineTest, QualifiedSuccessorConflictDetected) {
       "F <= X\nR <= Y\nX <= not Y\n"
       "exists P- <= R\n"
       "B <= exists P . F\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   auto b = onto.vocab().FindConcept("B").value();
   EXPECT_TRUE(cls.IsUnsatisfiable(BasicConcept::Atomic(b)));
   // Neither the filler nor the range class is unsatisfiable themselves.
@@ -292,7 +313,7 @@ TEST_P(ClassifyEngineTest, QualifiedSuccessorViaSuperRoleRange) {
       "exists Q- <= R\n"
       "F <= not R\n"
       "B <= exists P . F\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.IsUnsatisfiable(
       BasicConcept::Atomic(onto.vocab().FindConcept("B").value())));
 }
@@ -302,14 +323,14 @@ TEST_P(ClassifyEngineTest, QualifiedSuccessorCompatibleFillerIsFine) {
       "concept B F R\nrole P\n"
       "exists P- <= R\n"
       "B <= exists P . F\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_TRUE(cls.UnsatisfiableConcepts().empty());
 }
 
 TEST_P(ClassifyEngineTest, DisjointRolesAloneCauseNoUnsat) {
   // Disjoint roles do NOT make their domains disjoint or empty.
   Ontology onto = MustParse("role P Q\nP <= not Q\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicRole::Direct(0)));
   EXPECT_FALSE(cls.IsUnsatisfiable(BasicRole::Direct(1)));
   EXPECT_FALSE(
@@ -329,7 +350,7 @@ TEST_P(ClassifyEngineTest, SkippingUnsatStepLeavesPhiOnly) {
 
 TEST_P(ClassifyEngineTest, StatsAreFilled) {
   Ontology onto = MustParse("concept A B\nrole P\nA <= B\nA <= not B\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   const auto& st = cls.stats();
   EXPECT_EQ(st.num_nodes, 2u + 4u);
   EXPECT_EQ(st.num_graph_arcs, 1u);
@@ -339,7 +360,7 @@ TEST_P(ClassifyEngineTest, StatsAreFilled) {
 
 TEST_P(ClassifyEngineTest, CountNamedSubsumptions) {
   Ontology onto = MustParse("concept A B C\nrole P Q\nA <= B\nB <= C\nP <= Q\n");
-  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  Classification cls = Run(onto);
   // A⊑B, A⊑C, B⊑C plus P⊑Q.
   EXPECT_EQ(cls.CountNamedSubsumptions(), 4u);
 }
@@ -351,6 +372,128 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ClassifyEngineTest,
                          [](const auto& pinfo) {
                            return graph::ClosureEngineName(pinfo.param);
                          });
+
+// ---------------------------------------------------------------------------
+// computeUnsat (Ω_T) against the closure-based reference
+// ---------------------------------------------------------------------------
+
+// ComputeUnsat on `onto`, checked node by node against
+// testkit::ReferenceUnsat.
+std::vector<bool> CheckedUnsat(const Ontology& onto) {
+  Classification cls = Classify(onto.tbox(), onto.vocab());
+  const TBoxGraph& g = cls.tbox_graph();
+  std::vector<bool> unsat = ComputeUnsat(g);
+  EXPECT_EQ(unsat, testkit::ReferenceUnsat(g, cls.closure(),
+                                           cls.reverse_closure()));
+  return unsat;
+}
+
+TEST(ComputeUnsatTest, QualifiedExistentialThroughRoleHierarchy) {
+  // The successor forced by B ⊑ ∃Q.A is in A and, as Q ⊑ R, in ∃R⁻,
+  // which is disjoint from A.
+  Ontology onto = MustParse(
+      "concept A B\nrole Q R\n"
+      "Q <= R\nexists R- <= not A\nB <= exists Q . A\n");
+  const NodeTable nt(onto.vocab());
+  std::vector<bool> unsat = CheckedUnsat(onto);
+  EXPECT_TRUE(unsat[nt.OfConcept(onto.vocab().FindConcept("B").value())]);
+  EXPECT_FALSE(unsat[nt.OfConcept(onto.vocab().FindConcept("A").value())]);
+  EXPECT_EQ(std::count(unsat.begin(), unsat.end(), true), 1);
+}
+
+TEST(ComputeUnsatTest, NegativeInclusionsSpanSeveralBlocks) {
+  // k disjoint pairs C_i ⊑ ¬D_i. Below pair j sits U_j ⊑ C_j, D_j (a seed)
+  // and V_j ⊑ ∃P_j.C_j with range(P_j) ⊑ D_j (a qualified existential).
+  // The chosen j straddle the 64-bit words and the NI blocks.
+  for (int k : {63, 64, 65, 255, 256, 257, 520}) {
+    std::vector<int> picked;
+    for (int j : {0, 63, 64, 255, 256, 257, 511, 512, k - 1}) {
+      if (j < k) picked.push_back(j);
+    }
+    std::sort(picked.begin(), picked.end());
+    picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
+    std::string decl = "concept";
+    std::string roles = "role";
+    std::string axioms;
+    for (int i = 0; i < k; ++i) {
+      const std::string c = "C" + std::to_string(i);
+      const std::string d = "D" + std::to_string(i);
+      decl += " " + c + " " + d;
+      axioms += c + " <= not " + d + "\n";
+    }
+    for (int j : picked) {
+      const std::string c = "C" + std::to_string(j);
+      const std::string d = "D" + std::to_string(j);
+      const std::string u = "U" + std::to_string(j);
+      const std::string v = "V" + std::to_string(j);
+      const std::string p = "P" + std::to_string(j);
+      decl += " " + u + " " + v;
+      roles += " " + p;
+      axioms += u + " <= " + c + "\n" + u + " <= " + d + "\n" + "exists " +
+                p + "- <= " + d + "\n" + v + " <= exists " + p + " . " + c +
+                "\n";
+    }
+    Ontology onto = MustParse((decl + "\n" + roles + "\n" + axioms).c_str());
+    const NodeTable nt(onto.vocab());
+    std::vector<bool> unsat = CheckedUnsat(onto);
+    std::vector<graph::NodeId> want;
+    for (int j : picked) {
+      for (const char* prefix : {"U", "V"}) {
+        want.push_back(nt.OfConcept(
+            onto.vocab().FindConcept(prefix + std::to_string(j)).value()));
+      }
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<graph::NodeId> got;
+    for (graph::NodeId x = 0; x < unsat.size(); ++x) {
+      if (unsat[x]) got.push_back(x);
+    }
+    EXPECT_EQ(got, want) << k << " negative inclusions";
+  }
+}
+
+TEST(ComputeUnsatTest, NegativeInclusionInsideOneCycle) {
+  // A, B, C are one strongly connected component holding both NI sides.
+  Ontology onto = MustParse(
+      "concept A B C D E\n"
+      "A <= B\nB <= C\nC <= A\nA <= not C\nD <= A\nC <= E\n");
+  std::vector<bool> unsat = CheckedUnsat(onto);
+  const NodeTable nt(onto.vocab());
+  for (const char* name : {"A", "B", "C", "D"}) {
+    EXPECT_TRUE(unsat[nt.OfConcept(onto.vocab().FindConcept(name).value())])
+        << name;
+  }
+  EXPECT_FALSE(unsat[nt.OfConcept(onto.vocab().FindConcept("E").value())]);
+}
+
+TEST(ComputeUnsatTest, RoleAndAttributeNegativeInclusions) {
+  Ontology onto = MustParse(
+      "concept A\nrole P Q S\nattribute u w v\n"
+      "P <= not Q\nS <= P\nS <= Q\n"
+      "u <= not w\nv <= u\nv <= w\ndelta(v) <= A\n");
+  std::vector<bool> unsat = CheckedUnsat(onto);
+  const NodeTable nt(onto.vocab());
+  const dllite::Vocabulary& voc = onto.vocab();
+  const auto s = voc.FindRole("S").value();
+  EXPECT_TRUE(unsat[nt.OfRole(BasicRole::Direct(s))]);
+  EXPECT_TRUE(unsat[nt.OfRole(BasicRole::Inverse(s))]);
+  EXPECT_TRUE(unsat[nt.OfExists(BasicRole::Direct(s))]);
+  EXPECT_TRUE(unsat[nt.OfExists(BasicRole::Inverse(s))]);
+  EXPECT_FALSE(unsat[nt.OfRole(BasicRole::Direct(voc.FindRole("P").value()))]);
+  const auto v = voc.FindAttribute("v").value();
+  EXPECT_TRUE(unsat[nt.OfAttribute(v)]);
+  EXPECT_TRUE(unsat[nt.OfAttrDomain(v)]);
+  EXPECT_FALSE(unsat[nt.OfAttribute(voc.FindAttribute("u").value())]);
+  EXPECT_FALSE(unsat[nt.OfConcept(voc.FindConcept("A").value())]);
+}
+
+TEST(ComputeUnsatTest, QualifiedExistentialsWithoutNegativeInclusions) {
+  Ontology onto = MustParse(
+      "concept A B C\nrole P Q\n"
+      "P <= Q\nexists Q- <= C\nB <= exists P . A\nA <= exists P- . B\n");
+  std::vector<bool> unsat = CheckedUnsat(onto);
+  EXPECT_EQ(std::count(unsat.begin(), unsat.end(), true), 0);
+}
 
 // ---------------------------------------------------------------------------
 // Deductive closure

@@ -111,7 +111,25 @@ TEST(SccTest, CondensationIsAcyclicAndDeduplicated) {
 // Closure engines: identical semantics across all three implementations.
 // ---------------------------------------------------------------------------
 
-class ClosureEngineTest : public ::testing::TestWithParam<ClosureEngine> {};
+class ClosureEngineTest : public ::testing::TestWithParam<ClosureEngine> {
+ protected:
+  // `kDynamic` names the same engine as `kSccMerge`, so its instantiation
+  // builds the closure by patching an arc-less graph up to `g` instead (no
+  // scratch fallback): every case then also checks `DynamicClosure::Patched`.
+  std::unique_ptr<TransitiveClosure> Build(const Digraph& g) const {
+    if (GetParam() != ClosureEngine::kDynamic) {
+      return ComputeClosure(g, GetParam());
+    }
+    Digraph empty(g.NumNodes());
+    empty.Finalize();
+    DynamicClosure::PatchOptions options;
+    options.fallback_fraction = 1.0;
+    DynamicClosure::PatchStats stats;
+    auto patched = DynamicClosure(empty).Patched(empty, g, options, &stats);
+    EXPECT_FALSE(stats.fell_back);
+    return patched;
+  }
+};
 
 TEST_P(ClosureEngineTest, ChainReachability) {
   Digraph g(4);
@@ -119,7 +137,7 @@ TEST_P(ClosureEngineTest, ChainReachability) {
   g.AddArc(1, 2);
   g.AddArc(2, 3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Build(g);
   EXPECT_TRUE(c->Reaches(0, 3));
   EXPECT_TRUE(c->Reaches(1, 3));
   EXPECT_FALSE(c->Reaches(3, 0));
@@ -134,7 +152,7 @@ TEST_P(ClosureEngineTest, CycleMembersReachThemselves) {
   g.AddArc(1, 0);
   g.AddArc(1, 2);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Build(g);
   EXPECT_TRUE(c->Reaches(0, 0));
   EXPECT_TRUE(c->Reaches(1, 1));
   EXPECT_FALSE(c->Reaches(2, 2));
@@ -146,7 +164,7 @@ TEST_P(ClosureEngineTest, SelfLoop) {
   Digraph g(2);
   g.AddArc(0, 0);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Build(g);
   EXPECT_TRUE(c->Reaches(0, 0));
   EXPECT_FALSE(c->Reaches(1, 1));
 }
@@ -158,7 +176,7 @@ TEST_P(ClosureEngineTest, DiamondDag) {
   g.AddArc(1, 3);
   g.AddArc(2, 3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Build(g);
   EXPECT_EQ(c->ReachableFrom(0), (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(c->NumClosureArcs(), 5u);
 }
@@ -166,7 +184,7 @@ TEST_P(ClosureEngineTest, DiamondDag) {
 TEST_P(ClosureEngineTest, EmptyAndIsolated) {
   Digraph g(3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Build(g);
   EXPECT_FALSE(c->Reaches(0, 1));
   EXPECT_TRUE(c->ReachableFrom(2).empty());
   EXPECT_EQ(c->NumClosureArcs(), 0u);
@@ -183,7 +201,7 @@ TEST_P(ClosureEngineTest, RandomGraphAgreesWithBfsOracle) {
     }
     g.Finalize();
     auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
-    auto tested = ComputeClosure(g, GetParam());
+    auto tested = Build(g);
     EXPECT_EQ(tested->NumClosureArcs(), oracle->NumClosureArcs());
     for (NodeId u = 0; u < n; ++u) {
       EXPECT_EQ(tested->ReachableFrom(u), oracle->ReachableFrom(u))

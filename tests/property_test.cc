@@ -63,17 +63,13 @@ TEST_P(CrossEngineTest, GraphAndCompletionAgreeExactly) {
 
 TEST_P(CrossEngineTest, GraphEnginesAgreeAcrossClosureAlgorithms) {
   dllite::Ontology onto = benchgen::Generate(RandomishConfig(GetParam()));
-  core::ClassificationOptions bfs, merge, dynamic;
+  core::ClassificationOptions bfs, scc;
   bfs.engine = graph::ClosureEngine::kBfs;
-  merge.engine = graph::ClosureEngine::kSccMerge;
-  dynamic.engine = graph::ClosureEngine::kDynamic;
+  scc.engine = graph::ClosureEngine::kSccMerge;
   auto a = core::Classify(onto.tbox(), onto.vocab(), bfs);
-  auto b = core::Classify(onto.tbox(), onto.vocab(), merge);
-  auto c = core::Classify(onto.tbox(), onto.vocab(), dynamic);
+  auto b = core::Classify(onto.tbox(), onto.vocab(), scc);
   EXPECT_EQ(a.CountNamedSubsumptions(), b.CountNamedSubsumptions());
-  EXPECT_EQ(b.CountNamedSubsumptions(), c.CountNamedSubsumptions());
   EXPECT_EQ(a.UnsatisfiableConcepts(), b.UnsatisfiableConcepts());
-  EXPECT_EQ(b.UnsatisfiableConcepts(), c.UnsatisfiableConcepts());
 }
 
 TEST_P(CrossEngineTest, TableauAgreesOnConceptHierarchy) {

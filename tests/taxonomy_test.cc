@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/taxonomy.h"
 #include "dllite/ontology.h"
 
@@ -64,6 +66,30 @@ TEST(TaxonomyTest, ToStringIndentsHierarchy) {
 TEST(TaxonomyTest, IsolatedConceptsAreRoots) {
   Taxonomy t = Build("concept A B\n");
   EXPECT_EQ(t.Roots().size(), 2u);
+}
+
+TEST(TaxonomyTest, DepthOfDiamondLadderIsLinear) {
+  // T(k+1) sits under both L(k) and R(k), which both sit under T(k): the
+  // bottom of a 40-diamond ladder has 2^40 parent paths to the root, so a
+  // depth that walks every path never returns.
+  const int kDiamonds = 40;
+  std::string text = "concept T0";
+  std::string axioms;
+  for (int k = 0; k < kDiamonds; ++k) {
+    const std::string t = "T" + std::to_string(k);
+    const std::string l = "L" + std::to_string(k);
+    const std::string r = "R" + std::to_string(k);
+    const std::string next = "T" + std::to_string(k + 1);
+    text += " " + l + " " + r + " " + next;
+    axioms += l + " <= " + t + "\n" + r + " <= " + t + "\n" + next +
+              " <= " + l + "\n" + next + " <= " + r + "\n";
+  }
+  Taxonomy t = Build((text + "\n" + axioms).c_str());
+  ASSERT_EQ(t.nodes().size(), 1u + 3u * kDiamonds);
+  // Concept ids follow the declaration: T0, then (L, R, T) per diamond.
+  EXPECT_EQ(t.DepthOf(t.NodeOf(0)), 0u);
+  EXPECT_EQ(t.DepthOf(t.NodeOf(1)), 1u);
+  EXPECT_EQ(t.DepthOf(t.NodeOf(3 * kDiamonds)), 2u * kDiamonds);
 }
 
 }  // namespace
